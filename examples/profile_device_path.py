@@ -5,9 +5,8 @@ The simulated SSD spends its wall time somewhere — FTL mapping updates,
 GC victim selection, recovery-queue bookkeeping, NAND timing, detector
 slices — and guessing wrong about *where* wastes optimisation effort.
 This example arms the :class:`~repro.obs.prof.LayerProfiler` on a golden
-attack replay, prints the per-layer breakdown, then shows the two things
-the raw table can't: how the call tree nests (who charges time to whom)
-and how host wall time compares with *simulated* NAND busy time.
+attack replay, prints the per-layer breakdown and the profiler's measured
+overhead, then compares host wall time with *simulated* NAND busy time.
 
 Run:  python examples/profile_device_path.py
 """
@@ -22,11 +21,12 @@ GOLDEN_SEED = 20180706
 
 
 def main() -> None:
-    # 1. Build the golden attack mix and replay it under the profiler.
-    #    profile_device_replay arms a profiler-only Observability bundle,
-    #    wraps the whole replay in a root "replay" section (so exclusive
-    #    times partition the wall clock), and assembles the
-    #    ssd-insider.profile/v1 report.
+    # 1. Build the golden attack mix and replay it twice: once plain, once
+    #    with the profiler armed.  Arming wraps every function in the
+    #    boundary table (repro.obs.prof.LAYERS) for the duration of the
+    #    replay; the whole armed replay sits in a root "replay" section
+    #    (so exclusive times partition the wall clock), and the result is
+    #    the ssd-insider.profile/v2 report.
     run = golden_scenario(duration=20.0).build(seed=GOLDEN_SEED,
                                                duration=20.0)
     report = profile_device_replay(run)
@@ -47,13 +47,12 @@ def main() -> None:
     print(f"\ndevice path: {device['fraction_of_wall']:.1%} of wall, "
           f"hottest layers: {', '.join(device['top_layers'])}")
 
-    # 4. The profiler audits itself: every section enter/exit pair costs
-    #    a calibrated number of nanoseconds, and the report says how much
-    #    of the measured wall time is the measurement.
+    # 4. The profiler's cost is measured, not estimated: the same stream
+    #    replayed unarmed gives the baseline wall time.
     overhead = report["overhead"]
-    print(f"profiler overhead: {overhead['events']:,} events x "
-          f"{overhead['calibrated_ns_per_event']:.0f} ns = "
-          f"{overhead['estimated_fraction_of_wall']:.1%} of wall")
+    print(f"profiler overhead: armed {report['wall_time_s'] * 1e3:.0f} ms "
+          f"vs unarmed {overhead['unarmed_wall_s'] * 1e3:.0f} ms "
+          f"({overhead['fraction_of_wall']:+.1%})")
 
     # 5. Host wall time measures the *simulator*; the simulated NAND busy
     #    clock measures the *modelled hardware*.  Comparing the two tells

@@ -94,13 +94,6 @@ class RansomwareDetector:
                 "detector_alarms_total", "Alarms raised."
             )
         self._fr = self.obs.flightrec
-        self._prof = self.obs.profiler
-        if self._prof is not None:
-            # The disarmed observe() path is the hottest loop in the repo
-            # (~390k req/s); rather than tax it with a profiler branch,
-            # swap in the profiled wrapper as an instance attribute so the
-            # class body stays untouched when no profiler is armed.
-            self.observe = self._observe_profiled  # type: ignore[method-assign]
         if self._fr is not None:
             # The recorder classifies near-misses against this detector's
             # own operating point, not its construction-time default.
@@ -159,16 +152,6 @@ class RansomwareDetector:
                     current.owio += 1
                     overwritten.add(lba)
 
-    def _observe_profiled(self, request: IORequest) -> None:
-        """:meth:`observe` under a ``detector.observe`` profiler section.
-
-        Installed over ``self.observe`` at construction time when the
-        bundle carries a profiler; recording only — the work done is
-        exactly one call to the class's :meth:`observe`.
-        """
-        with self._prof.section("detector.observe"):
-            RansomwareDetector.observe(self, request)
-
     def tick(self, now: float) -> None:
         """Advance simulated time, closing any slices that have expired.
 
@@ -184,26 +167,7 @@ class RansomwareDetector:
                 break
             self._close_slice()
 
-    def _ingest(self, unit: IORequest) -> None:
-        """Fold one unit-length request into the current slice."""
-        if unit.is_read:
-            self._current.rio += 1
-            self.table.record_read(unit.lba, self._current.index)
-        else:
-            self._current.wio += 1
-            if self.table.record_write(unit.lba, self._current.index):
-                self._current.owio += 1
-                self._current.overwritten_lbas.add(unit.lba)
-
     def _try_fast_forward(self, target_slice: int) -> bool:
-        """Profiler-aware wrapper over :meth:`_fast_forward_impl`."""
-        prof = self._prof
-        if prof is None:
-            return self._fast_forward_impl(target_slice)
-        with prof.section("detector.fast_forward"):
-            return self._fast_forward_impl(target_slice)
-
-    def _fast_forward_impl(self, target_slice: int) -> bool:
         """Jump a converged idle gap straight to ``target_slice``.
 
         Engages only when every remaining slice close is provably a
@@ -276,14 +240,6 @@ class RansomwareDetector:
         return True
 
     def _close_slice(self) -> None:
-        prof = self._prof
-        if prof is None:
-            self._close_slice_impl()
-            return
-        with prof.section("detector.slice_close"):
-            self._close_slice_impl()
-
-    def _close_slice_impl(self) -> None:
         closed = self._current
         self.window.push(closed)
         features = compute_features(self.table, self.window)

@@ -7,10 +7,10 @@ run when a physical page is superseded and in what GC is allowed to reclaim.
 
 from __future__ import annotations
 
-from time import perf_counter_ns
 from typing import Optional
 
 from repro.errors import (
+    AddressError,
     ConfigError,
     EraseError,
     ExhaustedRetriesError,
@@ -21,7 +21,7 @@ from repro.errors import (
 )
 from repro.ftl.allocator import BlockAllocator
 from repro.ftl.gc import GcPolicy
-from repro.ftl.mapping import UNMAPPED, create_mapping_table
+from repro.ftl.mapping import create_mapping_table
 from repro.ftl.stats import FtlStats
 from repro.ftl.victim_index import VictimIndex
 from repro.nand.array import NandArray
@@ -71,13 +71,8 @@ class PageMappedFTL:
         self.mapping = create_mapping_table(
             mapping_backend, num_lbas, num_ppas=nand.geometry.pages_total
         )
-        #: Direct (forward, reverse) array references for inline span
-        #: translation — flat backend only, None otherwise — and the
-        #: logical bound the inline paths check against.
-        self._map_refs = (
-            self.mapping.span_refs()
-            if hasattr(self.mapping, "span_refs") else None
-        )
+        #: The logical bound :meth:`write` checks against, cached as a
+        #: plain int for the per-block path.
         self._lba_limit = num_lbas
         self.allocator = BlockAllocator(nand)
         #: Incrementally maintained victim index: GC selection and
@@ -90,9 +85,6 @@ class PageMappedFTL:
         nand.block_listener = self.victim_index.note
         self.stats = FtlStats()
         self.obs = obs if obs is not None else Observability.off()
-        #: Cached profiler handle (None disarmed); the read/write/trim
-        #: wrappers and GC test this once per operation.
-        self._prof = self.obs.profiler
         self._m_gc_copies = None
         self._m_erases = None
         if self.obs.armed_metrics:
@@ -107,13 +99,6 @@ class PageMappedFTL:
                 "ftl_erases_total", "Block erases completed."
             )
         self._last_timestamp = 0.0
-        #: True while write_span() is iterating: supersede hooks switch
-        #: from opening a per-block profiler section to accumulating a
-        #: raw clock pair into the span counters below, folded into the
-        #: tree once per request via LayerProfiler.add().
-        self._in_span = False
-        self._span_queue_ns = 0
-        self._span_queue_calls = 0
         #: Optional static wear leveler (attach_wear_leveling()); checked
         #: after each GC round.
         self.wear_leveler = None
@@ -138,35 +123,11 @@ class PageMappedFTL:
 
     def read(self, lba: int, timestamp: float = 0.0) -> PageInfo:
         """Read the live version of ``lba``."""
-        prof = self._prof
-        if prof is None:
-            return self._read_impl(lba, timestamp)
-        with prof.section("ftl.read"):
-            return self._read_impl(lba, timestamp)
-
-    def _read_impl(self, lba: int, timestamp: float) -> PageInfo:
         # Reads advance the FTL's notion of "now" just like writes do:
         # cost-benefit victim selection ages blocks against the newest host
         # I/O, and a read-heavy phase must not freeze that clock.
         self._last_timestamp = max(self._last_timestamp, timestamp)
-        prof = self._prof
-        if prof is None:
-            ppa = self.mapping.lookup(lba)
-        else:
-            # Clock-pair accumulation instead of a nested section: the
-            # lookup is a single array index, so the section enter/exit
-            # machinery would dominate the recorded time.  Flat backend:
-            # index the forward array directly (bounds-checked inline,
-            # out-of-range falls through to the raising lookup).
-            refs = self._map_refs
-            t0 = perf_counter_ns()
-            if refs is not None and 0 <= lba < self._lba_limit:
-                ppa = refs[0][lba]
-                if ppa < 0:
-                    ppa = None
-            else:
-                ppa = self.mapping.lookup(lba)
-            prof.add("ftl.translate", perf_counter_ns() - t0)
+        ppa = self.mapping.lookup(lba)
         if ppa is None:
             raise UnmappedReadError(f"LBA {lba} has never been written")
         self.stats.host_reads += 1
@@ -179,135 +140,34 @@ class PageMappedFTL:
         remapped to a fresh block and the failing block is drained and
         retired (see :meth:`_retire_block`); only
         :class:`~repro.errors.ExhaustedRetriesError` — every replacement
-        block failing too — surfaces to the caller.
+        block failing too — surfaces to the caller.  An ``lba`` outside
+        the logical space raises :class:`~repro.errors.AddressError`
+        before anything is programmed.
         """
-        prof = self._prof
-        if prof is None:
-            return self._write_impl(lba, timestamp, payload)
-        with prof.section("ftl.write"):
-            return self._write_impl(lba, timestamp, payload)
-
-    def _write_impl(self, lba: int, timestamp: float,
-                    payload: Optional[bytes]) -> int:
+        if not 0 <= lba < self._lba_limit:
+            raise AddressError(
+                f"LBA {lba} out of range [0, {self._lba_limit})"
+            )
         self._last_timestamp = max(self._last_timestamp, timestamp)
         self._ensure_space()
         new_ppa = self._host_program(lba, timestamp, payload)
-        prof = self._prof
-        if prof is None:
-            old_ppa = self.mapping.update(lba, new_ppa)
-        else:
-            with prof.section("ftl.translate"):
-                old_ppa = self.mapping.update(lba, new_ppa)
+        old_ppa = self.mapping.update(lba, new_ppa)
         self.stats.host_writes += 1
         self._on_superseded(lba, old_ppa, new_ppa, timestamp)
         return new_ppa
 
     def write_span(self, lba: int, length: int, timestamp: float) -> None:
-        """Write ``length`` consecutive LBAs with request-batched profiling.
+        """Write ``length`` consecutive LBAs (no payload) at ``timestamp``.
 
-        The per-block operation order is exactly ``length`` calls of
-        :meth:`_write_impl` — same timestamp advance, space check,
-        program, mapping update and supersede hook, in the same order —
-        so GC timing, placement, stats and detection events are
-        bit-identical to the per-block loop.  What changes is profiler
-        *attribution granularity*: one ``ftl.write`` section brackets the
-        whole request, and the per-block ``ftl.translate`` /
-        ``queue.update`` spans are measured with raw clock pairs and
-        folded into the tree once at the end (LayerProfiler.add), so the
-        recorded shares reflect the work instead of 2×``length`` section
-        enter/exits per request.
+        Exactly ``length`` calls of :meth:`write`, in LBA order: one FTL
+        call per host request instead of one per block.
         """
-        prof = self._prof
-        if prof is None:
-            for offset in range(length):
-                self._write_impl(lba + offset, timestamp, None)
-            return
-        with prof.section("ftl.write"):
-            mapping = self.mapping
-            in_bounds = 0 <= lba and lba + length <= mapping.num_lbas
-            refs = self._map_refs if in_bounds else None
-            if in_bounds:
-                # Whole span validated up front: the per-block updates can
-                # skip their range checks.
-                mapping_update = mapping.update_unchecked
-            else:
-                # Out-of-range span: the checked update raises
-                # AddressError at exactly the block the per-block loop
-                # would have.
-                mapping_update = mapping.update
-            stats = self.stats
-            clock = perf_counter_ns
-            translate_ns = 0
-            mapped_delta = 0
-            self._span_queue_ns = 0
-            self._span_queue_calls = 0
-            self._in_span = True
-            try:
-                if refs is not None:
-                    # Flat backend: perform update_unchecked's array
-                    # transitions inline (no method call per block),
-                    # folding the mapped-count delta back after the loop.
-                    forward, reverse = refs
-                    for offset in range(length):
-                        current = lba + offset
-                        self._last_timestamp = max(
-                            self._last_timestamp, timestamp
-                        )
-                        self._ensure_space()
-                        new_ppa = self._host_program(
-                            current, timestamp, None
-                        )
-                        t0 = clock()
-                        previous = forward[current]
-                        forward[current] = new_ppa
-                        if previous >= 0:
-                            reverse[previous] = UNMAPPED
-                            old_ppa = previous
-                        else:
-                            old_ppa = None
-                            mapped_delta += 1
-                        reverse[new_ppa] = current
-                        translate_ns += clock() - t0
-                        stats.host_writes += 1
-                        self._on_superseded(
-                            current, old_ppa, new_ppa, timestamp
-                        )
-                else:
-                    for offset in range(length):
-                        current = lba + offset
-                        self._last_timestamp = max(
-                            self._last_timestamp, timestamp
-                        )
-                        self._ensure_space()
-                        new_ppa = self._host_program(
-                            current, timestamp, None
-                        )
-                        t0 = clock()
-                        old_ppa = mapping_update(current, new_ppa)
-                        translate_ns += clock() - t0
-                        stats.host_writes += 1
-                        self._on_superseded(
-                            current, old_ppa, new_ppa, timestamp
-                        )
-            finally:
-                self._in_span = False
-                if mapped_delta:
-                    mapping.add_mapped(mapped_delta)
-            prof.add("ftl.translate", translate_ns, length)
-            if self._span_queue_calls:
-                prof.add("queue.update", self._span_queue_ns,
-                         self._span_queue_calls)
+        write = self.write
+        for offset in range(length):
+            write(lba + offset, timestamp)
 
     def trim(self, lba: int, timestamp: float = 0.0) -> None:
         """Discard the live version of ``lba`` (e.g. on file deletion)."""
-        prof = self._prof
-        if prof is None:
-            self._trim_impl(lba, timestamp)
-            return
-        with prof.section("ftl.trim"):
-            self._trim_impl(lba, timestamp)
-
-    def _trim_impl(self, lba: int, timestamp: float) -> None:
         self._last_timestamp = max(self._last_timestamp, timestamp)
         old_ppa = self.mapping.unmap(lba)
         self.stats.host_trims += 1
@@ -458,30 +318,14 @@ class PageMappedFTL:
         return erased
 
     def _collect_garbage(self) -> int:
-        prof = self._prof
-        if prof is None:
-            return self._collect_garbage_impl()
-        with prof.section("ftl.gc"):
-            return self._collect_garbage_impl()
-
-    def _collect_garbage_impl(self) -> int:
         erased = 0
         tracer = self.obs.tracer
-        prof = self._prof
         while self.allocator.free_blocks <= self.gc_policy.target_free_blocks:
-            if prof is None:
-                victim = self.victim_index.select(
-                    self._gc_candidate,
-                    policy=self.gc_policy.victim_policy,
-                    now=self._last_timestamp,
-                )
-            else:
-                with prof.section("ftl.gc.select_victim"):
-                    victim = self.victim_index.select(
-                        self._gc_candidate,
-                        policy=self.gc_policy.victim_policy,
-                        now=self._last_timestamp,
-                    )
+            victim = self.victim_index.select(
+                self._gc_candidate,
+                policy=self.gc_policy.victim_policy,
+                now=self._last_timestamp,
+            )
             if victim is not None and tracer.enabled:
                 block = self.nand.block(victim)
                 tracer.instant(

@@ -15,7 +15,6 @@ Differences from the conventional FTL (all from §III-C of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter_ns
 from typing import List, Optional, Set
 
 from repro.ftl.base import PageMappedFTL
@@ -72,15 +71,13 @@ class InsiderFTL(PageMappedFTL):
         # GC select victims (and size relocations) without page walks.
         self.queue.on_pin = self.victim_index.pin
         self.queue.on_unpin = self.victim_index.unpin
-        # The fused log() path maintains the same counters inline.
-        self.queue.bind_pin_counters(*self.victim_index.pin_counter_refs())
         self._m_queue_depth = None
         self._m_queue_pinned = None
         self._m_queue_evictions = None
         self._m_queue_occupancy = None
         #: Whether queue transitions need folding into tracer/metrics/
         #: flight recorder at all — cached so the supersede hot path pays
-        #: one attribute test when only the profiler is armed.
+        #: one attribute test when none of them is armed.
         self._note_changes = (
             self.obs.armed_tracer or self.obs.armed_metrics
             or self.obs.flightrec is not None
@@ -114,43 +111,16 @@ class InsiderFTL(PageMappedFTL):
     ) -> None:
         # Dropping the old physical page is baseline supersede work —
         # the conventional FTL pays the exact same invalidate with no
-        # queue at all (PageMappedFTL._on_superseded) — so it runs
-        # outside the queue.update attribution, which then measures only
-        # what the recovery queue *adds* to the write path.
+        # queue at all (PageMappedFTL._on_superseded) — so it stays
+        # outside _log_backup, whose profile layer (queue.update) then
+        # measures only what the recovery queue *adds* to the write path.
         if old_ppa is not None:
             self.nand.invalidate(old_ppa)
-        if self._in_span:
-            # Inside write_span(): accumulate a raw clock pair instead of
-            # opening a section; the span folds the total into the tree
-            # once per request.  With nothing listening for queue
-            # transitions the fused RecoveryQueue.log() skips the
-            # expired/evicted list building entirely.
-            if self._note_changes:
-                t0 = perf_counter_ns()
-                self._log_backup(lba, old_ppa, new_ppa, timestamp)
-                self._span_queue_ns += perf_counter_ns() - t0
-            else:
-                queue = self.queue
-                t0 = perf_counter_ns()
-                queue.log(lba, old_ppa, new_ppa, timestamp)
-                self._span_queue_ns += perf_counter_ns() - t0
-            self._span_queue_calls += 1
-            return
-        prof = self._prof
-        if prof is None:
-            self._log_backup(lba, old_ppa, new_ppa, timestamp)
-            return
-        with prof.section("queue.update"):
-            self._log_backup(lba, old_ppa, new_ppa, timestamp)
+        self._log_backup(lba, old_ppa, new_ppa, timestamp)
 
     def _on_trimmed(self, lba: int, old_ppa: int, timestamp: float) -> None:
         self.nand.invalidate(old_ppa)
-        prof = self._prof
-        if prof is None:
-            self._log_backup(lba, old_ppa, None, timestamp)
-            return
-        with prof.section("queue.update"):
-            self._log_backup(lba, old_ppa, None, timestamp)
+        self._log_backup(lba, old_ppa, None, timestamp)
 
     def _log_backup(self, lba: int, old_ppa: Optional[int],
                     new_ppa: Optional[int], timestamp: float) -> None:
@@ -162,11 +132,7 @@ class InsiderFTL(PageMappedFTL):
         timestamp makes that check O(1) and allocation-free whenever the
         window has not moved past the oldest entry.
         """
-        queue = self.queue
-        expired = queue.expire(timestamp)
-        # Positional construction: keyword argument binding costs ~240 ns
-        # per entry inside the timed window.
-        evicted = queue.push(BackupEntry(lba, old_ppa, new_ppa, timestamp))
+        expired, evicted = self.queue.log(lba, old_ppa, new_ppa, timestamp)
         if self._note_changes:
             self._note_queue_change(timestamp, expired, evicted,
                                     pinned=old_ppa is not None)
@@ -224,14 +190,6 @@ class InsiderFTL(PageMappedFTL):
         tenants' recent writes stay untouched and their backups stay
         queued.
         """
-        prof = self._prof
-        if prof is None:
-            return self._rollback_impl(now, lba_range)
-        with prof.section("ftl.rollback"):
-            return self._rollback_impl(now, lba_range)
-
-    def _rollback_impl(self, now: float,
-                       lba_range: Optional[tuple]) -> RollbackReport:
         self.queue.expire(now)
         if lba_range is None:
             entries = self.queue.drain()

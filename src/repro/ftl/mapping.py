@@ -10,15 +10,13 @@ Two interchangeable backends live here:
 * :class:`MappingTable` — the default **flat-array** backend: a dense
   ``array('q')`` indexed directly by LBA (``-1`` = unmapped), optionally
   paired with a dense PPA→LBA reverse map.  Lookup and update are a
-  C-array index instead of a dict hash, and :meth:`~MappingTable.
-  translate_many` resolves a whole batch of LBAs in one numpy gather when
-  numpy is available.
+  C-array index instead of a dict hash.
 * :class:`DictMappingTable` — the original sparse dict backend, kept as
   the reference implementation for the backend-equivalence oracle (and
   for address spaces too large to back densely).
 
 Both expose the identical contract (``lookup``/``update``/``unmap``/
-``is_mapped``/``items``/``mapped_count``/``lba_of``/``translate_many``);
+``is_mapped``/``items``/``mapped_count``/``lba_of``);
 :func:`create_mapping_table` picks one by name so the choice threads
 through :class:`~repro.ssd.config.SSDConfig` untouched.
 """
@@ -26,20 +24,12 @@ through :class:`~repro.ssd.config.SSDConfig` untouched.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import AddressError
 
-try:  # numpy accelerates translate_many; everything else is pure Python.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _np = None
-
 #: Sentinel stored in the flat arrays for "no mapping".
 UNMAPPED = -1
-
-#: Batch size below which the numpy gather costs more than a Python loop.
-_VECTOR_MIN_BATCH = 8
 
 
 class MappingTable:
@@ -109,44 +99,6 @@ class MappingTable:
             return None
         return previous
 
-    def update_unchecked(self, lba: int, ppa: int) -> Optional[int]:
-        """:meth:`update` minus the range validation.
-
-        For callers that validated the whole address span up front (the
-        FTL's ``write_span``); state transitions are identical to
-        :meth:`update` for every in-range ``(lba, ppa)``.
-        """
-        forward = self._forward
-        previous = forward[lba]
-        forward[lba] = ppa
-        reverse = self._reverse
-        if reverse is not None:
-            if previous >= 0:
-                reverse[previous] = UNMAPPED
-            reverse[ppa] = lba
-        if previous < 0:
-            self._mapped += 1
-            return None
-        return previous
-
-    def span_refs(self) -> Optional[Tuple[array, array]]:
-        """``(forward, reverse)`` backing arrays for inline span updates.
-
-        The FTL's ``write_span`` performs the :meth:`update_unchecked`
-        array transitions directly on these references (both are created
-        once and never reassigned), skipping a Python method call per
-        block; the caller accumulates the mapped-count delta and folds it
-        back through :meth:`add_mapped`.  Returns None when no reverse
-        map is kept — callers must then go through the method API.
-        """
-        if self._reverse is None:
-            return None
-        return self._forward, self._reverse
-
-    def add_mapped(self, delta: int) -> None:
-        """Fold a span's newly-mapped-LBA count into the tally."""
-        self._mapped += delta
-
     def unmap(self, lba: int) -> Optional[int]:
         """Remove the mapping for ``lba``; returns the removed PPA (or None)."""
         self._check(lba)
@@ -171,35 +123,6 @@ class MappingTable:
             if mapped == ppa:
                 return lba
         return None
-
-    def translate_many(self, lbas: Sequence[int]) -> List[int]:
-        """Resolve a batch of LBAs; returns PPAs with ``-1`` for unmapped.
-
-        The batch is gathered in one numpy fancy-index when numpy is
-        available and the batch is large enough to pay for the array
-        view; otherwise a plain loop over the backing array.  Out-of-range
-        LBAs raise :class:`~repro.errors.AddressError` exactly like
-        :meth:`lookup` would.
-        """
-        forward = self._forward
-        num_lbas = self._num_lbas
-        if _np is not None and len(lbas) >= _VECTOR_MIN_BATCH:
-            index = _np.asarray(lbas, dtype=_np.int64)
-            if index.size and (
-                int(index.min()) < 0 or int(index.max()) >= num_lbas
-            ):
-                bad = [lba for lba in lbas if not (0 <= lba < num_lbas)]
-                raise AddressError(
-                    f"LBA {bad[0]} out of range [0, {num_lbas})"
-                )
-            table = _np.frombuffer(forward, dtype=_np.int64)
-            return table[index].tolist()
-        out: List[int] = []
-        for lba in lbas:
-            if not (0 <= lba < num_lbas):
-                raise AddressError(f"LBA {lba} out of range [0, {num_lbas})")
-            out.append(forward[lba])
-        return out
 
     def mapped_count(self) -> int:
         """Number of currently-mapped LBAs."""
@@ -258,15 +181,6 @@ class DictMappingTable:
         self._reverse[ppa] = lba
         return previous
 
-    def update_unchecked(self, lba: int, ppa: int) -> Optional[int]:
-        """:meth:`update` minus the range validation (see MappingTable)."""
-        previous = self._map.get(lba)
-        self._map[lba] = ppa
-        if previous is not None:
-            self._reverse.pop(previous, None)
-        self._reverse[ppa] = lba
-        return previous
-
     def unmap(self, lba: int) -> Optional[int]:
         """Remove the mapping for ``lba``; returns the removed PPA (or None)."""
         self._check(lba)
@@ -278,16 +192,6 @@ class DictMappingTable:
     def lba_of(self, ppa: int) -> Optional[int]:
         """LBA currently mapped to ``ppa``, or None."""
         return self._reverse.get(ppa)
-
-    def translate_many(self, lbas: Sequence[int]) -> List[int]:
-        """Resolve a batch of LBAs; returns PPAs with ``-1`` for unmapped."""
-        lookup = self._map.get
-        out: List[int] = []
-        for lba in lbas:
-            self._check(lba)
-            ppa = lookup(lba)
-            out.append(UNMAPPED if ppa is None else ppa)
-        return out
 
     def mapped_count(self) -> int:
         """Number of currently-mapped LBAs."""

@@ -18,10 +18,10 @@ way the detector's ``CountingTable`` is:
   index; the cached head timestamp makes the "nothing to do" check O(1),
   and each entry is popped exactly once over its lifetime, so expiry is
   O(1) amortized per request.
-* :meth:`push` and :meth:`expire` return a shared empty tuple
-  (:data:`RecoveryQueue.EMPTY`) when nothing was evicted/expired, so the
-  common case allocates nothing.  Callers must treat the return value as
-  read-only.
+* :meth:`log` (expire, then append), :meth:`push` and :meth:`expire`
+  return the shared empty tuple (:data:`RecoveryQueue.EMPTY`) when nothing
+  was evicted/expired, so the common case allocates no list.  Callers
+  must treat the return value as read-only.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ ENTRY_SIZE_BYTES = 12
 _EMPTY: Tuple["BackupEntry", ...] = ()
 
 _INF = float("inf")
-
-#: Upper bound on the fused log() path's recycled-entry pool.
-_POOL_LIMIT = 512
 
 
 class BackupEntry:
@@ -95,9 +92,6 @@ class RecoveryQueue:
             raise ConfigError(f"capacity must be >= 1, got {capacity}")
         self.retention = retention
         self.capacity = capacity
-        #: Capacity as a plain comparable (huge sentinel when unbounded),
-        #: so the hot path's bound check is one compare, no None test.
-        self._cap = capacity if capacity is not None else (1 << 62)
         #: Entries evicted early because the queue hit its capacity —
         #: each one is recovery coverage lost inside the window (real
         #: firmware provisions the queue so this stays zero; Table III).
@@ -121,29 +115,6 @@ class RecoveryQueue:
         #: is not a transition and fires neither hook.
         self.on_pin: Optional[Callable[[int], None]] = None
         self.on_unpin: Optional[Callable[[int], None]] = None
-        # Optional direct references to the victim index's per-block pin
-        # counters (bind_pin_counters); when bound, log() maintains them
-        # inline instead of dispatching through the hooks above.
-        self._pin_counts: Optional[List[int]] = None
-        self._pin_dirty = None
-        self._pin_ppb = 1
-        #: Recycled BackupEntry objects (fused log() path only).
-        self._entry_pool: List[BackupEntry] = []
-
-    def bind_pin_counters(self, counts, dirty, pages_per_block) -> None:
-        """Bind the victim index's pin counters for inline maintenance.
-
-        :meth:`log` then updates ``counts[ppa // pages_per_block]`` and
-        the dirty set directly — the same state transition
-        ``on_pin``/``on_unpin`` would apply, minus a Python method call
-        per pin transition.  The hooks must still be set to the matching
-        index's ``pin``/``unpin``: every other path (general ``push``,
-        ``expire``, ``drain``, ``repin``, capacity eviction) keeps
-        dispatching through them.
-        """
-        self._pin_counts = counts
-        self._pin_dirty = dirty
-        self._pin_ppb = pages_per_block
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -156,6 +127,20 @@ class RecoveryQueue:
         """Old-version physical pages currently protected from GC."""
         return len(self._pinned)
 
+    def log(self, lba: int, old_ppa: Optional[int], new_ppa: Optional[int],
+            timestamp: float) -> Tuple[Sequence[BackupEntry], Sequence[BackupEntry]]:
+        """Log one supersession: expire past the window, then append.
+
+        The write path's only queue operation, so expiry is checked
+        exactly once per logged change.  Returns ``(expired, evicted)``;
+        each is the shared read-only :data:`EMPTY` tuple when nothing
+        left the queue.
+        """
+        expired = self.expire(timestamp)
+        # Positional construction: keyword argument binding costs ~240 ns
+        # per entry inside the timed window.
+        return expired, self._append(BackupEntry(lba, old_ppa, new_ppa, timestamp))
+
     def push(self, entry: BackupEntry) -> Sequence[BackupEntry]:
         """Append a change-log entry (timestamps must be non-decreasing).
 
@@ -163,8 +148,15 @@ class RecoveryQueue:
         their old pages become reclaimable immediately.  When nothing is
         evicted — always, for the unbounded queues real firmware sizes
         for — the shared read-only :data:`EMPTY` tuple comes back and no
-        list is allocated.
+        list is allocated.  Unlike :meth:`log`, no expiry runs first
+        (power-loss rebuild pushes entries reconstructed from NAND).
         """
+        return self._append(entry)
+
+    def _append(self, entry: BackupEntry) -> Sequence[BackupEntry]:
+        # The shared body of log() and push(): neither calls the other, so
+        # a per-function tracer counts each append once, under the entry
+        # point that made it.
         if entry.timestamp < self._last_timestamp:
             raise ConfigError(
                 f"backup entries must arrive in time order "
@@ -193,175 +185,6 @@ class RecoveryQueue:
             if previous is None and self.on_pin is not None:
                 self.on_pin(old_ppa)
         return evicted
-
-    def log(self, lba: int, old_ppa: Optional[int],
-            new_ppa: Optional[int], timestamp: float) -> None:
-        """Fused expire-then-push for the write hot path, results discarded.
-
-        State-equivalent to ``expire(timestamp)`` followed by
-        ``push(BackupEntry(lba, old_ppa, new_ppa, timestamp))`` with both
-        return values dropped — every counter (``expiry_scans``,
-        ``evictions``, ``depth_peak``), the pin index and the pin hooks
-        transition identically — minus the expired/evicted list building
-        and one method frame.  Callers that need the expired or evicted
-        entries (tracer, gauges, flight recorder) must use the two-call
-        form instead.
-
-        Expired entry objects are *recycled* through an internal pool
-        (their four fields are overwritten by a later ``log`` call), so
-        callers must not retain references to entries after they leave
-        the queue through this path.  The general ``expire``/``drain``
-        paths never recycle — entries they return stay valid.
-        """
-        cutoff = timestamp - self.retention
-        entries = self._entries
-        pinned = self._pinned
-        counts = self._pin_counts
-        dirty = self._pin_dirty
-        ppb = self._pin_ppb
-        pool = self._entry_pool
-        if cutoff > self._head_ts:
-            # Bulk expiry: pop everything past the window in one loop,
-            # updating the cached head timestamp once at the end instead
-            # of per pop (_pop_front's per-entry deque peek).
-            self.expiry_scans += 1
-            on_unpin = self.on_unpin
-            while entries and entries[0].timestamp < cutoff:
-                expired = entries.popleft()
-                ppa = expired.old_ppa
-                if ppa is not None:
-                    current = pinned.pop(ppa, None)
-                    if current is expired:
-                        if counts is not None:
-                            block = ppa // ppb
-                            count = counts[block] - 1
-                            if count < 0:
-                                raise FtlError(
-                                    f"victim index corrupt: unpin of PPA "
-                                    f"{ppa} drops block {block} below zero "
-                                    f"pins"
-                                )
-                            counts[block] = count
-                            dirty.add(block)
-                        elif on_unpin is not None:
-                            on_unpin(ppa)
-                    elif current is not None:
-                        # A newer entry re-pinned this PPA: restore it.
-                        pinned[ppa] = current
-                pool.append(expired)
-            self._head_ts = entries[0].timestamp if entries else _INF
-            if len(pool) > _POOL_LIMIT:
-                del pool[_POOL_LIMIT:]
-        if timestamp < self._last_timestamp:
-            raise ConfigError(
-                f"backup entries must arrive in time order "
-                f"({timestamp} < {self._last_timestamp})"
-            )
-        self._last_timestamp = timestamp
-        excess = len(entries) - self._cap
-        if excess == 0:
-            # Steady-state capacity eviction: exactly one entry leaves the
-            # head as one arrives at the tail (push never lets the queue
-            # grow past capacity, so ``excess`` can only reach 0, never
-            # exceed it, through normal operation).  ``rotate(-1)`` moves
-            # the head slot to the tail in place, and the evicted entry
-            # object is mutated into the new one — no deque pop/append,
-            # no pool round-trip, no allocation.  The depth is unchanged
-            # at ``capacity``, which a prior push already recorded as the
-            # peak, so the depth-peak check is skipped too.
-            evicted = entries[0]
-            ppa = evicted.old_ppa
-            if ppa is not None:
-                current = pinned.pop(ppa, None)
-                if current is evicted:
-                    if counts is not None:
-                        block = ppa // ppb
-                        count = counts[block] - 1
-                        if count < 0:
-                            raise FtlError(
-                                f"victim index corrupt: unpin of PPA "
-                                f"{ppa} drops block {block} below zero "
-                                f"pins"
-                            )
-                        counts[block] = count
-                        dirty.add(block)
-                    elif self.on_unpin is not None:
-                        self.on_unpin(ppa)
-                elif current is not None:
-                    # A newer entry re-pinned this PPA: restore it.
-                    pinned[ppa] = current
-            self.evictions += 1
-            entries.rotate(-1)
-            evicted.lba = lba
-            evicted.old_ppa = old_ppa
-            evicted.new_ppa = new_ppa
-            evicted.timestamp = timestamp
-            # Read the head timestamp *after* the mutation so the
-            # capacity-1 corner (the recycled entry is its own head)
-            # observes the new timestamp, exactly as pop-then-push would.
-            self._head_ts = entries[0].timestamp
-            entry = evicted
-        else:
-            if excess > 0:
-                # Oversized backlog (only reachable if entries were bulk
-                # loaded past capacity): same inline unpin treatment as
-                # bulk expiry, pop count known up front.
-                on_unpin = self.on_unpin
-                for _ in range(excess + 1):
-                    evicted = entries.popleft()
-                    ppa = evicted.old_ppa
-                    if ppa is not None:
-                        current = pinned.pop(ppa, None)
-                        if current is evicted:
-                            if counts is not None:
-                                block = ppa // ppb
-                                count = counts[block] - 1
-                                if count < 0:
-                                    raise FtlError(
-                                        f"victim index corrupt: unpin of "
-                                        f"PPA {ppa} drops block {block} "
-                                        f"below zero pins"
-                                    )
-                                counts[block] = count
-                                dirty.add(block)
-                            elif on_unpin is not None:
-                                on_unpin(ppa)
-                        elif current is not None:
-                            # A newer entry re-pinned this PPA: restore it.
-                            pinned[ppa] = current
-                    pool.append(evicted)
-                self.evictions += excess + 1
-                self._head_ts = entries[0].timestamp if entries else _INF
-                if len(pool) > _POOL_LIMIT:
-                    del pool[_POOL_LIMIT:]
-            if pool:
-                entry = pool.pop()
-                entry.lba = lba
-                entry.old_ppa = old_ppa
-                entry.new_ppa = new_ppa
-                entry.timestamp = timestamp
-            else:
-                entry = BackupEntry(lba, old_ppa, new_ppa, timestamp)
-            if not entries:
-                self._head_ts = timestamp
-            entries.append(entry)
-            depth = len(entries)
-            if depth > self.depth_peak:
-                self.depth_peak = depth
-        if old_ppa is not None:
-            previous = pinned.setdefault(old_ppa, entry)
-            if previous is entry:
-                # Fresh pin (the common case): one dict probe, then the
-                # inline counter update.
-                if counts is not None:
-                    block = old_ppa // ppb
-                    counts[block] += 1
-                    dirty.add(block)
-                elif self.on_pin is not None:
-                    self.on_pin(old_ppa)
-            else:
-                # Replacement pin: newer entry takes over, no transition.
-                pinned[old_ppa] = entry
 
     def _pop_front(self) -> BackupEntry:
         entry = self._entries.popleft()

@@ -139,18 +139,6 @@ class VictimIndex:
         self._buckets[reclaimable].add(global_block)
         self._bucket_of[global_block] = reclaimable
 
-    def pin_counter_refs(self):
-        """Direct ``(counts, dirty, pages_per_block)`` references for the
-        recovery queue's fused hot path.
-
-        Both containers are created once in ``__init__`` and only ever
-        mutated in place (``rebuild`` clears, never reassigns), so the
-        bound references stay valid for the index's lifetime.  Inline
-        increments through them are exactly :meth:`pin`/:meth:`unpin`
-        minus the method-call overhead.
-        """
-        return self._pinned, self._dirty, self._ppb
-
     def pin(self, ppa: int) -> None:
         """A recovery-queue pin appeared on ``ppa``."""
         global_block = ppa // self._ppb

@@ -71,10 +71,6 @@ class NandArray:
         #: The same busy time split by operation class (reads vs programs
         #: vs erases vs ECC retries) — stamped into profile reports.
         self.busy_breakdown = LatencyBreakdown()
-        #: Optional :class:`~repro.obs.prof.LayerProfiler`.  The array
-        #: sits below the FTL in the constructor chain and takes no obs
-        #: bundle; the device hands it the profiler after construction.
-        self.profiler = None
         #: Optional callable ``(global_block) -> None`` invoked after any
         #: operation that changes a block's page accounting (program,
         #: invalidate, revalidate, erase — including the failure paths
@@ -117,14 +113,6 @@ class NandArray:
         :class:`~repro.errors.ProgramFailError` is raised for the FTL to
         remap the write and retire the block.
         """
-        prof = self.profiler
-        if prof is None:
-            return self._program_impl(global_block, lba, timestamp, payload)
-        with prof.section("nand.program"):
-            return self._program_impl(global_block, lba, timestamp, payload)
-
-    def _program_impl(self, global_block: int, lba: int, timestamp: float,
-                      payload=None) -> int:
         chip_index = global_block // self.geometry.blocks_per_chip
         block_index = global_block % self.geometry.blocks_per_chip
         chip = self._chips[chip_index]
@@ -151,8 +139,8 @@ class NandArray:
 
         ``pages`` is a sequence of ``(lba, timestamp, payload)`` tuples;
         returns the flat PPAs programmed, in order.  This is the GC bulk
-        relocation path: one profiler section and one block-listener
-        notification cover the whole chunk instead of one per page.
+        relocation path: one call and one block-listener notification
+        cover the whole chunk instead of one per page.
 
         Only callable on a fault-free array: the injector draws RNG per
         program *in call order*, and this path does not consult it, so
@@ -163,13 +151,6 @@ class NandArray:
                 "program_many is the fault-free bulk path; use program() "
                 "per page when a fault injector is attached"
             )
-        prof = self.profiler
-        if prof is None:
-            return self._program_many_impl(global_block, pages)
-        with prof.section("nand.program"):
-            return self._program_many_impl(global_block, pages)
-
-    def _program_many_impl(self, global_block: int, pages) -> List[int]:
         chip_index = global_block // self.geometry.blocks_per_chip
         block_index = global_block % self.geometry.blocks_per_chip
         chip = self._chips[chip_index]
@@ -197,13 +178,6 @@ class NandArray:
         :class:`~repro.errors.UncorrectableReadError` when the page stays
         corrupt.
         """
-        prof = self.profiler
-        if prof is None:
-            return self._read_impl(ppa)
-        with prof.section("nand.read"):
-            return self._read_impl(ppa)
-
-    def _read_impl(self, ppa: int) -> PageInfo:
         chip_index, block_index, page_index = self.geometry.decompose(ppa)
         info = self._chips[chip_index].read(block_index, page_index)
         self.busy_time += self.latencies.page_read
@@ -211,14 +185,8 @@ class NandArray:
         if self.faults is not None:
             fault = self.faults.on_read(ppa)
             if fault is not None:
-                prof = self.profiler
-                if prof is None:
-                    self._correct_read(fault, chip_index, block_index,
-                                       page_index)
-                else:
-                    with prof.section("nand.ecc_retry"):
-                        self._correct_read(fault, chip_index, block_index,
-                                           page_index)
+                self._correct_read(fault, chip_index, block_index,
+                                   page_index)
         return info
 
     def _correct_read(self, fault, chip_index: int, block_index: int,
@@ -303,14 +271,6 @@ class NandArray:
         :class:`~repro.errors.EraseError` is raised — the grown-bad-block
         path the FTL already survives for natural wear-out.
         """
-        prof = self.profiler
-        if prof is None:
-            self._erase_impl(global_block)
-            return
-        with prof.section("nand.erase"):
-            self._erase_impl(global_block)
-
-    def _erase_impl(self, global_block: int) -> None:
         chip_index = global_block // self.geometry.blocks_per_chip
         block_index = global_block % self.geometry.blocks_per_chip
         chip = self._chips[chip_index]

@@ -11,7 +11,8 @@ Six pieces:
   latency/occupancy series are built on;
 * :mod:`repro.obs.prof` — the layer-attributed
   :class:`~repro.obs.prof.LayerProfiler`: inclusive/exclusive wall time
-  and call counts per device-path layer, rendered by
+  and call counts per device-path layer, measured by wrappers it installs
+  from the outside while armed, rendered by
   ``python -m repro.tools.profile``;
 * :mod:`repro.obs.tracer` — a structured event tracer recording spans and
   instants on the simulated clock *and* host ``perf_counter`` time, with a
@@ -22,17 +23,18 @@ Six pieces:
   ring buffers snapshotted into self-contained incident bundles when an
   alarm fires, the device locks down, or the degraded latch sets.
 
-:class:`Observability` bundles them for threading through the data path
-(:class:`~repro.ssd.device.SimulatedSSD`, the detector, the FTLs).
+:class:`Observability` bundles the tracer, metrics and flight recorder
+for threading through the data path (:class:`~repro.ssd.device.SimulatedSSD`,
+the detector, the FTLs); the profiler needs no threading — it is armed
+around a run with ``with LayerProfiler():``.
 
 By default everything is **off**: the device carries a disabled bundle
-whose tracer is the shared no-op :data:`~repro.obs.tracer.NULL_TRACER`
-and whose profiler is ``None``, and instrumented code branches away
-before building any event arguments, so un-observed runs pay nothing
-measurable.  Turn it on with::
+whose tracer is the shared no-op :data:`~repro.obs.tracer.NULL_TRACER`,
+and instrumented code branches away before building any event arguments,
+so un-observed runs pay nothing measurable.  Turn it on with::
 
     from repro.obs import Observability
-    obs = Observability.on(profile=True)
+    obs = Observability.on()
     device = SimulatedSSD(config, obs=obs)
     ...                                # run any workload
     obs.tracer.write_chrome_trace("trace.json")   # open in Perfetto
@@ -66,7 +68,7 @@ from repro.obs.tracer import (
 
 
 class Observability:
-    """The tracer + metrics + flight-recorder + profiler bundle.
+    """The tracer + metrics + flight-recorder bundle.
 
     Args:
         tracer: A recording tracer; defaults to the no-op
@@ -74,9 +76,6 @@ class Observability:
         metrics: A metrics registry; created on demand when omitted.
         flightrec: An optional :class:`~repro.obs.flightrec.FlightRecorder`
             capturing the last-N-seconds black box for incident bundles.
-        profiler: An optional :class:`~repro.obs.prof.LayerProfiler`;
-            components cache this attribute (``None`` when disarmed) and
-            open sections only behind an ``is not None`` test.
         snapshot_interval: Simulated seconds between automatic
             :meth:`~repro.obs.metrics.MetricsRegistry.record_snapshot`
             rows (``None`` disables periodic snapshots).
@@ -91,24 +90,21 @@ class Observability:
         tracer: Optional[NullTracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         flightrec: Optional[FlightRecorder] = None,
-        profiler: Optional[LayerProfiler] = None,
         snapshot_interval: Optional[float] = None,
     ) -> None:
         self.enabled = (
             tracer is not None or metrics is not None
-            or flightrec is not None or profiler is not None
+            or flightrec is not None
         )
         #: Whether a *recording* tracer / metrics registry was supplied.
         #: Components gate per-request span and counter work on these
-        #: instead of :attr:`enabled`, so arming only the profiler (the
-        #: ``repro.tools.profile`` harness) does not drag the full
-        #: metrics/tracer hot path back in.
+        #: instead of :attr:`enabled`, so a flight-recorder-only bundle
+        #: does not drag the full metrics/tracer hot path back in.
         self.armed_tracer = tracer is not None
         self.armed_metrics = metrics is not None
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.flightrec = flightrec
-        self.profiler = profiler
         self.snapshot_interval = snapshot_interval
         self._last_snapshot: Optional[float] = None
 
@@ -123,21 +119,18 @@ class Observability:
         clock: Optional[SimClock] = None,
         max_events: Optional[int] = None,
         flight: Optional[FlightRecorder] = None,
-        profile: bool = False,
         snapshot_interval: Optional[float] = None,
     ) -> "Observability":
         """A live bundle: recording tracer + fresh metrics registry.
 
         Pass ``flight=FlightRecorder(...)`` to also arm the black-box
-        flight recorder, ``profile=True`` to arm the layer-attributed
-        profiler, and ``snapshot_interval=<sim seconds>`` to record
+        flight recorder and ``snapshot_interval=<sim seconds>`` to record
         periodic scalar snapshots into the registry.
         """
         return cls(
             tracer=EventTracer(clock=clock, max_events=max_events),
             metrics=MetricsRegistry(),
             flightrec=flight,
-            profiler=LayerProfiler() if profile else None,
             snapshot_interval=snapshot_interval,
         )
 

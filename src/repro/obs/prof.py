@@ -4,44 +4,107 @@
 :class:`~repro.ssd.device.SimulatedSSD` path runs at ~78k req/s while the
 detector alone does ~390k — but not *where inside* NAND / FTL /
 latency-model the other 80% goes.  This module is the attribution layer:
-lightweight enter/exit hooks threaded through the device, the FTLs, the
-NAND array and the detector accumulate **inclusive/exclusive wall time and
-call counts per layer** into a call tree, cheap enough to leave compiled
-into every hot path.
+it accumulates **inclusive/exclusive wall time and call counts per layer**
+into a call tree.
 
-Design rules (the same ones the tracer follows):
+Profiling happens from the outside.  :data:`LAYERS` is the one static
+table saying which functions are layers; while a profiler is armed
+(``with LayerProfiler() as prof:``) each of those functions is replaced
+by a timing wrapper on the class or module that defines it, and every
+original is put back on exit.  Consequences:
 
-* **disarmed is free** — components cache ``obs.profiler`` (``None`` by
-  default) and branch away on a single ``is not None`` test before any
-  argument is built; the supercritical detector ``observe`` path swaps in
-  a profiled bound method at construction time so the disarmed class body
-  is not touched at all;
-* **armed is honest** — every ``start``/``stop`` pair costs two
-  ``perf_counter_ns`` calls plus a dict probe, and the profiler counts its
-  own events and calibrates that cost so the report quantifies its own
-  overhead instead of silently folding it into the layers;
-* **recording only** — hooks never branch on profiler state in a way that
-  changes behaviour: a profiler-armed run's
-  :class:`~repro.core.detector.DetectionEvent` stream is bit-identical to
-  a plain run (tested in ``tests/test_profiler.py``).
+* **disarmed is free by construction** — the device path carries no
+  profiler code at all, so an unprofiled run executes exactly the
+  program the profile describes;
+* **armed is measured, not estimated** — ``repro.tools.profile`` replays
+  the same stream unarmed and armed and reports the wall-time ratio;
+* **recording only** — the wrappers call straight through, so an armed
+  run's detection events, rollback reports and FTL/device statistics
+  equal a plain run's (tested in ``tests/test_profiler.py``).
 
-The report (schema ``ssd-insider.profile/v1``) is rendered by
+Wrappers go on classes, so they reach every instance in the process
+while armed — but not bound methods an object cached *before* arming.
+Nothing on the device path caches a bound layer function.
+
+The report (schema ``ssd-insider.profile/v2``) is rendered by
 ``python -m repro.tools.profile``; see ``docs/observability.md``.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
+import inspect
 from time import perf_counter_ns
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
 
 #: Schema stamped into every profile report.
-PROFILE_SCHEMA = "ssd-insider.profile/v1"
+PROFILE_SCHEMA = "ssd-insider.profile/v2"
 
 #: Layer-name prefixes that belong to the device data path (as opposed to
 #: the replay harness or the detector's own pipeline).
 DEVICE_PATH_PREFIXES = ("ssd.", "ftl.", "nand.", "queue.")
+
+#: ``(layer, module, qualified function)`` for every profiled boundary.
+#: A layer may name several functions (both mapping backends translate);
+#: no layer may be reachable from inside itself, or the inclusive sums of
+#: :meth:`LayerProfiler.layers` would double-count.
+LAYERS: Tuple[Tuple[str, str, str], ...] = (
+    # Both host front doors (submit, submit_batch) run every request
+    # through _execute, so one boundary covers them without nesting.
+    ("ssd.submit", "repro.ssd.device", "SimulatedSSD._execute"),
+    ("ssd.read", "repro.ssd.device", "SimulatedSSD.read"),
+    ("ssd.write", "repro.ssd.device", "SimulatedSSD.write"),
+    ("ssd.trim", "repro.ssd.device", "SimulatedSSD.trim"),
+    ("detector.observe", "repro.core.detector", "RansomwareDetector.observe"),
+    ("detector.slice_close", "repro.core.detector",
+     "RansomwareDetector._close_slice"),
+    ("detector.fast_forward", "repro.core.detector",
+     "RansomwareDetector._try_fast_forward"),
+    ("ftl.write", "repro.ftl.base", "PageMappedFTL.write"),
+    ("ftl.read", "repro.ftl.base", "PageMappedFTL.read"),
+    ("ftl.trim", "repro.ftl.base", "PageMappedFTL.trim"),
+    ("ftl.translate", "repro.ftl.mapping", "MappingTable.lookup"),
+    ("ftl.translate", "repro.ftl.mapping", "MappingTable.update"),
+    ("ftl.translate", "repro.ftl.mapping", "DictMappingTable.lookup"),
+    ("ftl.translate", "repro.ftl.mapping", "DictMappingTable.update"),
+    ("queue.update", "repro.ftl.insider", "InsiderFTL._log_backup"),
+    ("ftl.gc", "repro.ftl.base", "PageMappedFTL._collect_garbage"),
+    ("ftl.gc.select_victim", "repro.ftl.victim_index", "VictimIndex.select"),
+    ("ftl.rollback", "repro.ftl.insider", "InsiderFTL.rollback"),
+    ("nand.program", "repro.nand.array", "NandArray.program"),
+    ("nand.program", "repro.nand.array", "NandArray.program_many"),
+    ("nand.read", "repro.nand.array", "NandArray.read"),
+    ("nand.erase", "repro.nand.array", "NandArray.erase"),
+    ("nand.ecc_retry", "repro.nand.array", "NandArray._correct_read"),
+)
+
+
+def resolve(module_name: str, qualname: str) -> Tuple[object, str, object]:
+    """``(owner, attribute, function)`` for one :data:`LAYERS` entry.
+
+    ``owner`` is the module, or the class that defines the function
+    itself (not a subclass that inherits it), so the wrapper reaches
+    every class sharing the definition.  Raises
+    :class:`~repro.errors.ObservabilityError` when the entry no longer
+    names a function.
+    """
+    owner: object = importlib.import_module(module_name)
+    *path, attribute = qualname.split(".")
+    for part in path:
+        owner = getattr(owner, part, None)
+        if not inspect.isclass(owner):
+            raise ObservabilityError(
+                f"layer boundary {module_name}.{qualname}: no class {part!r}"
+            )
+    function = vars(owner).get(attribute)
+    if not inspect.isfunction(function):
+        raise ObservabilityError(
+            f"layer boundary {module_name}.{qualname} is not a function"
+        )
+    return owner, attribute, function
 
 
 class ProfileNode:
@@ -98,133 +161,122 @@ class _SectionGuard:
         return False
 
 
-class _NullGuard:
-    """Shared no-op context manager for the disarmed profiler."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullGuard":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-
-_NULL_GUARD = _NullGuard()
-
-
-class NullProfiler:
-    """Zero-cost disarmed profiler: every hook is a no-op.
-
-    Hot loops that want branch-free structure can hoist
-    ``prof = self._prof or NULL_PROFILER`` once and then write
-    ``with prof.section(...)`` unconditionally — the disarmed guard is a
-    shared singleton, so the per-iteration cost is one attribute call and
-    no allocation.  ``armed`` distinguishes it from a real profiler
-    without an ``isinstance`` check.
-    """
-
-    __slots__ = ()
-
-    armed = False
-
-    def start(self, name: str) -> None:
-        """No-op."""
-
-    def stop(self) -> None:
-        """No-op."""
-
-    def section(self, name: str) -> _NullGuard:
-        """Return the shared no-op guard."""
-        return _NULL_GUARD
-
-    def add(self, name: str, ns: int, calls: int = 1) -> None:
-        """No-op."""
-
-
-#: The shared disarmed profiler instance.
-NULL_PROFILER = NullProfiler()
-
-
 class LayerProfiler:
     """Accumulates per-layer wall time and call counts into a call tree.
 
-    Usage from instrumented code (``prof`` is ``obs.profiler``, cached)::
+    Arm it around the code to measure; every :data:`LAYERS` function is
+    timed while the block runs::
 
-        if prof is not None:
-            with prof.section("ftl.write"):
-                ...the write path...
+        with LayerProfiler() as prof:
+            with prof.section("replay"):   # optional harness root
+                ...replay requests...
+        report = build_report(prof, wall_time_s)
 
-    ``start``/``stop`` are also public for callers that cannot use a
-    ``with`` block.  Sections nest; time spent in a child section is
-    *inclusive* for every ancestor and *exclusive* only for the child.
+    ``section``/``start``/``stop`` open named sections by hand (a replay
+    harness uses one as the root, so its own loop is a layer too).
+    Sections nest; time spent in a child is *inclusive* for every
+    ancestor and *exclusive* only for the child.
     """
-
-    #: Real profilers record; the :data:`NULL_PROFILER` does not.
-    armed = True
 
     def __init__(self) -> None:
         #: Synthetic root; never started or stopped itself.
         self.root = ProfileNode("(root)")
-        self._stack: List[ProfileNode] = [self.root]
-        self._starts: List[int] = []
-        #: Completed start/stop pairs (the overhead model's event count).
-        self.events = 0
+        #: One-slot holder of the innermost open node (a list so the
+        #: wrappers can swap it without a method call).
+        self._current: List[ProfileNode] = [self.root]
+        #: ``(node, parent, start_ns)`` of the open manual sections.
+        self._open: List[Tuple[ProfileNode, ProfileNode, int]] = []
         self._guard = _SectionGuard(self)
+        #: ``(owner, attribute, original)`` for every installed wrapper.
+        self._installed: List[Tuple[object, str, object]] = []
 
-    # -- recording ---------------------------------------------------------
+    # -- arming ------------------------------------------------------------
+
+    @property
+    def armed(self) -> bool:
+        """True while the boundary wrappers are installed."""
+        return bool(self._installed)
+
+    def __enter__(self) -> "LayerProfiler":
+        if self._installed:
+            raise ObservabilityError("profiler is already armed")
+        try:
+            for layer, module_name, qualname in LAYERS:
+                owner, attribute, function = resolve(module_name, qualname)
+                setattr(owner, attribute, self._wrap(layer, function))
+                self._installed.append((owner, attribute, function))
+        except BaseException:
+            self._disarm()
+            raise
+        return self
+
+    def __exit__(self, *exc_info: object) -> bool:
+        self._disarm()
+        return False
+
+    def _disarm(self) -> None:
+        """Put every original function back, newest wrapper first."""
+        while self._installed:
+            owner, attribute, function = self._installed.pop()
+            setattr(owner, attribute, function)
+
+    def _wrap(self, layer: str, function):
+        """A timing wrapper recording ``function`` calls as ``layer``."""
+        current = self._current
+        clock = perf_counter_ns
+
+        @functools.wraps(function)
+        def profiled(*args, **kwargs):
+            parent = current[0]
+            node = parent.children.get(layer)
+            if node is None:
+                node = parent.children[layer] = ProfileNode(layer)
+            current[0] = node
+            begin = clock()
+            try:
+                # Most boundary calls are positional-only; skipping the
+                # empty **kwargs expansion trims the per-call cost.
+                if kwargs:
+                    return function(*args, **kwargs)
+                return function(*args)
+            finally:
+                node.total_ns += clock() - begin
+                node.calls += 1
+                current[0] = parent
+
+        return profiled
+
+    # -- manual sections ---------------------------------------------------
 
     def start(self, name: str) -> None:
         """Open a section named ``name`` under the current section."""
-        parent = self._stack[-1]
+        parent = self._current[0]
         node = parent.children.get(name)
         if node is None:
             node = ProfileNode(name)
             parent.children[name] = node
-        self._stack.append(node)
-        self._starts.append(perf_counter_ns())
+        self._current[0] = node
+        self._open.append((node, parent, perf_counter_ns()))
 
     def stop(self) -> None:
         """Close the innermost open section."""
         end = perf_counter_ns()
-        if len(self._stack) <= 1:
+        if not self._open:
             raise ObservabilityError("profiler stop() without a matching start()")
-        node = self._stack.pop()
-        node.total_ns += end - self._starts.pop()
+        node, parent, begin = self._open.pop()
+        node.total_ns += end - begin
         node.calls += 1
-        self.events += 1
+        self._current[0] = parent
 
     def section(self, name: str) -> _SectionGuard:
         """Open ``name`` and return the shared closing context manager."""
         self.start(name)
         return self._guard
 
-    def add(self, name: str, ns: int, calls: int = 1) -> None:
-        """Attribute externally measured time to child ``name`` of the
-        currently open section.
-
-        The amortized alternative to ``calls`` nested sections: a hot
-        loop brackets its inner spans with raw ``perf_counter_ns`` pairs,
-        accumulates, and folds the total into the tree once per batch.
-        The node lands exactly where the per-iteration sections would
-        have — as a child of the open section — and ``events`` still
-        advances by ``calls``, keeping the overhead model conservative
-        (an accumulated pair costs two clock reads, less than a full
-        start/stop pair).
-        """
-        parent = self._stack[-1]
-        node = parent.children.get(name)
-        if node is None:
-            node = ProfileNode(name)
-            parent.children[name] = node
-        node.total_ns += ns
-        node.calls += calls
-        self.events += calls
-
     @property
     def depth(self) -> int:
-        """Currently open (unclosed) sections."""
-        return len(self._stack) - 1
+        """Currently open (unclosed) manual sections."""
+        return len(self._open)
 
     # -- aggregation -------------------------------------------------------
 
@@ -234,7 +286,7 @@ class LayerProfiler:
         Exclusive times from distinct tree positions are disjoint, so the
         per-layer exclusive sums partition the attributed wall time
         exactly.  (Inclusive sums would double-count a layer nested under
-        itself; no instrumented layer in this repo recurses.)
+        itself; :data:`LAYERS` is chosen so that none is.)
         """
         aggregated: Dict[str, Dict[str, float]] = {}
 
@@ -257,20 +309,8 @@ class LayerProfiler:
         return sum(child.total_ns for child in self.root.children.values()) / 1e9
 
 
-def calibrate_overhead(iterations: int = 50_000) -> float:
-    """Measure the cost of one ``start``/``stop`` pair, in nanoseconds.
-
-    Runs a throwaway profiler through ``iterations`` empty sections and
-    returns the mean pair cost — the per-event term of the overhead model
-    stamped into every report.
-    """
-    probe = LayerProfiler()
-    begin = perf_counter_ns()
-    for _ in range(iterations):
-        probe.start("calibration")
-        probe.stop()
-    elapsed = perf_counter_ns() - begin
-    return elapsed / max(1, iterations)
+def _fraction(part: float, whole: float) -> float:
+    return round(part / whole, 4) if whole else 0.0
 
 
 def build_report(
@@ -278,16 +318,19 @@ def build_report(
     wall_time_s: float,
     context: Optional[Dict[str, object]] = None,
     meta: Optional[Dict[str, object]] = None,
+    unarmed_wall_s: Optional[float] = None,
 ) -> Dict[str, object]:
-    """Assemble the ``ssd-insider.profile/v1`` report document.
+    """Assemble the ``ssd-insider.profile/v2`` report document.
 
     Args:
-        profiler: The armed profiler after the measured run.
+        profiler: The profiler after the measured (armed) run.
         wall_time_s: Independently measured wall time of the profiled
             region (the coverage check compares attribution against it).
         context: Run description (scenario, seeds, device config...).
         meta: Provenance (git SHA, config hash), as produced by
             :func:`repro.tools.bench.report_meta`.
+        unarmed_wall_s: Wall time of the same run with the profiler
+            disarmed; the overhead section is ``None`` without it.
     """
     if profiler.depth:
         raise ObservabilityError(
@@ -314,32 +357,31 @@ def build_report(
     device_rows = [row for row in ordered
                    if str(row["layer"]).startswith(DEVICE_PATH_PREFIXES)]
     device_exclusive = sum(row["exclusive_s"] for row in device_rows)
-    per_event_ns = calibrate_overhead()
-    overhead_s = profiler.events * per_event_ns / 1e9
+    overhead: Optional[Dict[str, float]] = None
+    if unarmed_wall_s is not None:
+        overhead = {
+            "unarmed_wall_s": round(unarmed_wall_s, 6),
+            # Armed wall / unarmed wall - 1: what arming the profiler
+            # added to the same replay.
+            "fraction_of_wall": round(wall_time_s / unarmed_wall_s - 1.0, 4)
+            if unarmed_wall_s else 0.0,
+        }
     report: Dict[str, object] = {
         "schema": PROFILE_SCHEMA,
         "context": context or {},
         "wall_time_s": round(wall_time_s, 6),
         "coverage": {
             "attributed_s": round(attributed, 6),
-            "fraction_of_wall": round(attributed / wall_time_s, 4)
-            if wall_time_s else 0.0,
+            "fraction_of_wall": _fraction(attributed, wall_time_s),
         },
         "layers": ordered,
         "device_path": {
             "exclusive_s": round(device_exclusive, 6),
-            "fraction_of_wall": round(device_exclusive / wall_time_s, 4)
-            if wall_time_s else 0.0,
+            "fraction_of_wall": _fraction(device_exclusive, wall_time_s),
             "top_layers": [row["layer"] for row in device_rows[:3]],
         },
         "tree": profiler.root.as_dict(),
-        "overhead": {
-            "events": profiler.events,
-            "calibrated_ns_per_event": round(per_event_ns, 1),
-            "estimated_s": round(overhead_s, 6),
-            "estimated_fraction_of_wall": round(overhead_s / wall_time_s, 4)
-            if wall_time_s else 0.0,
-        },
+        "overhead": overhead,
     }
     if meta is not None:
         report["meta"] = meta

@@ -23,6 +23,7 @@ from repro.clock import SimClock
 from repro.core.detector import DetectionEvent, RansomwareDetector
 from repro.core.id3 import DecisionTree
 from repro.errors import (
+    AddressError,
     ConfigError,
     DeviceReadOnlyError,
     ExhaustedRetriesError,
@@ -95,9 +96,6 @@ class SimulatedSSD:
             FaultInjector(self.config.faults)
             if self.config.faults is not None else None
         )
-        #: Cached profiler handle (None disarmed) — hot paths test this
-        #: once instead of chasing ``self.obs.profiler`` per request.
-        self._prof = self.obs.profiler
         #: Whether periodic registry snapshots are due on this device.
         self._snapshots_on = self.obs.snapshot_interval is not None
         self.nand = NandArray(
@@ -106,9 +104,6 @@ class SimulatedSSD:
             faults=self.fault_injector,
             ecc=self.config.ecc,
         )
-        # The NAND array takes no obs bundle (it sits below the FTL in the
-        # constructor chain); hand it the profiler directly.
-        self.nand.profiler = self._prof
         self.ftl = InsiderFTL(
             self.nand,
             op_ratio=self.config.op_ratio,
@@ -118,6 +113,9 @@ class SimulatedSSD:
             obs=self.obs,
             mapping_backend=self.config.mapping_backend,
         )
+        #: Logical capacity, cached for the per-request span check (a
+        #: power-loss rebuild keeps the configuration, hence the size).
+        self._lba_limit = self.ftl.num_lbas
         self.detector: Optional[RansomwareDetector] = None
         if self.config.detector_enabled:
             self.detector = RansomwareDetector(
@@ -132,11 +130,8 @@ class SimulatedSSD:
         self._m_requests = None
         self._m_blocks = None
         self._m_dropped = None
-        #: Whether per-request spans/metrics are armed at all.  Profiler-
-        #: only bundles (the ``repro.tools.profile`` harness) skip the
-        #: whole :meth:`_observed` wrapper — wall-clock sampling and
-        #: counter updates would otherwise dominate what the profile is
-        #: trying to measure.
+        #: Whether per-request spans/metrics are armed at all; flight-
+        #: recorder-only bundles skip the whole :meth:`_observed` wrapper.
         self._observe_requests = (
             self.obs.armed_tracer or self.obs.armed_metrics
         )
@@ -207,27 +202,17 @@ class SimulatedSSD:
                 self.clock.now, before=self.refresh_obs_metrics
             )
         if not self._observe_requests:
-            prof = self._prof
-            if prof is None:
-                self._execute(request)
-                return
-            with prof.section("ssd.submit"):
-                self._execute(request)
+            self._execute(request)
             return
-        prof = self._prof
-        if prof is None:
-            self._observed(request, lambda: self._execute(request))
-            return
-        with prof.section("ssd.submit"):
-            self._observed(request, lambda: self._execute(request))
+        self._observed(request, lambda: self._execute(request))
 
     def submit_batch(self, requests) -> int:
         """Execute requests in order; returns how many were executed.
 
         The batched front door for trace replay: per-request span/timing/
-        dict overhead is hoisted out of the loop, and on an uninstrumented
-        fault-free device the whole batch runs inside one profiler section
-        with only the clock advance and the operation itself per request.
+        dict overhead is hoisted out of the loop, so on an uninstrumented
+        fault-free device only the clock advance and the operation itself
+        run per request.
 
         Stops early — returning the count executed so far, which is then
         less than ``len(requests)`` — when a request flips the device
@@ -244,22 +229,12 @@ class SimulatedSSD:
                 or self.fault_injector is not None):
             advance = self.clock.advance_to
             execute = self._execute
-            prof = self._prof
-            if prof is None:
-                for request in requests:
-                    advance(request.time)
-                    execute(request)
-                    executed += 1
-                    if self.read_only and not was_read_only:
-                        break
-                return executed
-            with prof.section("ssd.submit"):
-                for request in requests:
-                    advance(request.time)
-                    execute(request)
-                    executed += 1
-                    if self.read_only and not was_read_only:
-                        break
+            for request in requests:
+                advance(request.time)
+                execute(request)
+                executed += 1
+                if self.read_only and not was_read_only:
+                    break
             return executed
         for request in requests:
             self.submit(request)
@@ -287,6 +262,7 @@ class SimulatedSSD:
         return result
 
     def _execute(self, request: IORequest) -> None:
+        self._check_span(request.lba, request.length)
         if self.detector is not None:
             self.detector.observe(request)
         if self.fr is not None:
@@ -296,13 +272,12 @@ class SimulatedSSD:
                 self._read_block(lba)
             return
         # Trace writes carry no payload, so a whole write request can run
-        # as one FTL span — identical per-block operation order, but the
-        # profiler attributes translate/queue time once per request
-        # instead of once per block.  Falls back to the per-block loop
-        # whenever a block could take a divergent path: already
-        # read-only (drop accounting), fault injection (program failures
-        # can flip read-only mid-request), or a content-aware detector
-        # (per-block observe_write hook).
+        # as one FTL span — identical per-block operation order, one FTL
+        # call per request.  Falls back to the per-block loop whenever a
+        # block could take a divergent path: already read-only (drop
+        # accounting), fault injection (program failures can flip
+        # read-only mid-request), or a content-aware detector (per-block
+        # observe_write hook).
         if (not self.read_only and self.fault_injector is None
                 and (self.detector is None
                      or not hasattr(self.detector.tree, "observe_write"))):
@@ -314,15 +289,9 @@ class SimulatedSSD:
 
     def read(self, lba: int, now: Optional[float] = None) -> bytes:
         """Read one 4-KB block; unmapped blocks read as zeroes."""
+        self._check_span(lba, 1)
         timestamp = self._stamp(now)
         request = IORequest(time=timestamp, lba=lba, mode=IOMode.READ)
-        prof = self._prof
-        if prof is None:
-            return self._read_request(request, lba)
-        with prof.section("ssd.read"):
-            return self._read_request(request, lba)
-
-    def _read_request(self, request: IORequest, lba: int) -> bytes:
         if self.detector is not None:
             self.detector.observe(request)
         if self.fr is not None:
@@ -334,17 +303,9 @@ class SimulatedSSD:
     def write(self, lba: int, payload: Optional[bytes] = None,
               now: Optional[float] = None) -> None:
         """Write one 4-KB block (dropped/refused while read-only)."""
+        self._check_span(lba, 1)
         timestamp = self._stamp(now)
         request = IORequest(time=timestamp, lba=lba, mode=IOMode.WRITE)
-        prof = self._prof
-        if prof is None:
-            self._write_request(request, lba, payload)
-            return
-        with prof.section("ssd.write"):
-            self._write_request(request, lba, payload)
-
-    def _write_request(self, request: IORequest, lba: int,
-                       payload: Optional[bytes]) -> None:
         if self.detector is not None:
             self.detector.observe(request)
         if self.fr is not None:
@@ -356,6 +317,7 @@ class SimulatedSSD:
 
     def trim(self, lba: int, now: Optional[float] = None) -> None:
         """Discard one block (used by the filesystem on delete)."""
+        self._check_span(lba, 1)
         timestamp = self._stamp(now)
         if self.read_only:
             if self.strict_read_only:
@@ -364,12 +326,7 @@ class SimulatedSSD:
             if self._m_dropped is not None:
                 self._m_dropped.inc()
             return
-        prof = self._prof
-        if prof is None:
-            self.ftl.trim(lba, timestamp)
-            return
-        with prof.section("ssd.trim"):
-            self.ftl.trim(lba, timestamp)
+        self.ftl.trim(lba, timestamp)
 
     def tick(self, now: float) -> None:
         """Advance time without I/O (lets quiet periods decay the score).
@@ -659,6 +616,19 @@ class SimulatedSSD:
         }
 
     # -- internals -----------------------------------------------------------
+
+    def _check_span(self, lba: int, length: int) -> None:
+        """Reject a request reaching outside the logical space.
+
+        Runs before the detector, the FTL or the NAND array sees the
+        request, so a rejected request changes no device state (a write
+        past the end would otherwise program a page nothing maps).
+        """
+        if lba < 0 or lba + length > self._lba_limit:
+            raise AddressError(
+                f"request [{lba}, {lba + length}) outside the logical "
+                f"space [0, {self._lba_limit})"
+            )
 
     def _stamp(self, now: Optional[float]) -> float:
         if now is not None:

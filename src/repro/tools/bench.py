@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: per-request submit)")
     parser.add_argument("--profile", metavar="FILE", default=None,
                         help="also run the device mix under the layer "
-                             "profiler and write the ssd-insider.profile/v1 "
+                             "profiler and write the ssd-insider.profile/v2 "
                              "report to FILE")
     parser.add_argument("--paths", default="detector,device,scenario",
                         help="comma list from {detector,device,scenario}")

@@ -11,22 +11,25 @@ sample was missed, 4 when recovery lost data.
 
 ``--trace-out`` records the run with the event tracer and writes a
 Chrome-trace JSON (open at https://ui.perfetto.dev); ``--metrics`` writes
-the metrics-registry snapshot as JSON; ``--profile`` arms the layer
-profiler and writes the wall-time attribution report.  Any of these flags
-turns observability on; without them the run is un-instrumented and
-behaves exactly as before.
+the metrics-registry snapshot as JSON; ``--forensics-out`` arms the
+flight recorder.  Any of these flags turns observability on; without them
+the run is un-instrumented and behaves exactly as before.  ``--profile``
+arms the layer profiler around the run (which adds no observability
+bundle, so it profiles the plain data path) and writes the wall-time
+attribution report.
 """
 
 from __future__ import annotations
 
 import argparse
+from contextlib import ExitStack
 from time import perf_counter
 from typing import List, Optional
 
 from repro.nand.geometry import NandGeometry
 from repro.obs import Observability
 from repro.obs.flightrec import FlightRecorder
-from repro.obs.prof import build_report
+from repro.obs.prof import LayerProfiler, build_report
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.harness import run_defense
@@ -62,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "python -m repro.tools.forensics)")
     parser.add_argument("--profile", metavar="FILE", default=None,
                         help="arm the layer profiler and write the "
-                             "ssd-insider.profile/v1 report to FILE (render "
+                             "ssd-insider.profile/v2 report to FILE (render "
                              "with python -m repro.tools.profile)")
     return parser
 
@@ -71,13 +74,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Run the defense cycle; returns the exit code."""
     args = build_parser().parse_args(argv)
     observe = (args.trace_out is not None or args.metrics is not None
-               or args.forensics_out is not None
-               or args.profile is not None)
+               or args.forensics_out is not None)
     flight = (FlightRecorder() if args.forensics_out is not None
               else None)
-    obs = (Observability.on(flight=flight,
-                            profile=args.profile is not None)
-           if observe else None)
+    obs = Observability.on(flight=flight) if observe else None
     device = SimulatedSSD(
         SSDConfig(
             geometry=NandGeometry(channels=2, ways=4, blocks_per_chip=128,
@@ -86,19 +86,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
         obs=obs,
     )
-    profiler = obs.profiler if obs is not None else None
-    started = perf_counter()
-    if profiler is not None:
-        profiler.start("replay")
-    outcome = run_defense(
-        device,
-        sample=args.sample,
-        user_blocks=args.user_blocks,
-        seed=args.seed,
-        recover=not args.no_recover,
-    )
-    if profiler is not None:
-        profiler.stop()
+    profiler = LayerProfiler() if args.profile is not None else None
+    with ExitStack() as armed:
+        if profiler is not None:
+            armed.enter_context(profiler)
+            armed.enter_context(profiler.section("replay"))
+        started = perf_counter()
+        outcome = run_defense(
+            device,
+            sample=args.sample,
+            user_blocks=args.user_blocks,
+            seed=args.seed,
+            recover=not args.no_recover,
+        )
     wall = perf_counter() - started
     print(f"sample: {outcome.sample}")
     if outcome.alarm_raised:
@@ -123,25 +123,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(args.metrics, "w", encoding="utf-8") as handle:
                 handle.write(obs.metrics.render_json(indent=2))
             print(f"metrics: {len(obs.metrics)} families -> {args.metrics}")
-        if args.profile is not None:
-            import json
-
-            report = build_report(
-                profiler, wall,
-                context={
-                    "scenario": f"defend-{args.sample}",
-                    "ransomware": args.sample,
-                    "seed": args.seed,
-                    "user_blocks": args.user_blocks,
-                    "alarm_raised": outcome.alarm_raised,
-                    "nand_busy": device.nand.busy_breakdown.as_dict(),
-                },
-            )
-            with open(args.profile, "w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2)
-            coverage = report["coverage"]["fraction_of_wall"]
-            print(f"profile: {coverage:.1%} of wall attributed -> "
-                  f"{args.profile}")
         if args.forensics_out is not None:
             import json
 
@@ -155,6 +136,25 @@ def main(argv: Optional[List[str]] = None) -> int:
                 json.dump(payload, handle, indent=2)
             print(f"forensics: {len(bundles)} incident bundle(s) -> "
                   f"{args.forensics_out}")
+    if args.profile is not None:
+        import json
+
+        report = build_report(
+            profiler, wall,
+            context={
+                "scenario": f"defend-{args.sample}",
+                "ransomware": args.sample,
+                "seed": args.seed,
+                "user_blocks": args.user_blocks,
+                "alarm_raised": outcome.alarm_raised,
+                "nand_busy": device.nand.busy_breakdown.as_dict(),
+            },
+        )
+        with open(args.profile, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=2)
+        coverage = report["coverage"]["fraction_of_wall"]
+        print(f"profile: {coverage:.1%} of wall attributed -> "
+              f"{args.profile}")
     if not outcome.alarm_raised:
         return 3
     if not args.no_recover and outcome.blocks_corrupted > 0:

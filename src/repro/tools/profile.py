@@ -2,19 +2,19 @@
 
 ``BENCH_hotpath.json`` says the full device path is ~5x slower than the
 bare detector; this tool says *why*.  It replays a scenario through a
-:class:`~repro.ssd.device.SimulatedSSD` with the
+:class:`~repro.ssd.device.SimulatedSSD` once plain and once with the
 :class:`~repro.obs.prof.LayerProfiler` armed, then renders per-layer
-inclusive/exclusive wall time, the call tree, and the profiler's own
-measured overhead — and writes the ``ssd-insider.profile/v1`` JSON report
-the ROADMAP's raw-speed item starts from::
+inclusive/exclusive wall time, the call tree, and the profiler's
+overhead measured as the armed/unarmed wall-time ratio — and writes the
+``ssd-insider.profile/v2`` JSON report::
 
     python -m repro.tools.profile                       # golden scenario
     python -m repro.tools.profile --scenario test-ransom-only --top 15
     python -m repro.tools.profile --out results/PROFILE_device_path.json
     python -m repro.tools.profile --check               # CI gate
 
-Only the profiler is armed (no tracer), so the attribution reflects the
-data path itself rather than event-recording overhead.  ``--check``
+The device carries no observability bundle (no tracer, no metrics), so
+both replays run the plain data path.  ``--check``
 verifies the coverage invariant — per-layer exclusive times summing to
 >= 95% of independently measured wall time — and exits non-zero when it
 fails.
@@ -30,11 +30,10 @@ import json
 import sys
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import render_table
 from repro.blockdev.request import IORequest
-from repro.obs import Observability
 from repro.obs.prof import LayerProfiler, build_report
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SimulatedSSD
@@ -70,6 +69,22 @@ def golden_scenario(duration: float = 60.0) -> Scenario:
 REPLAY_BATCH = 512
 
 
+def _replay(device: SimulatedSSD, requests, duration: float,
+            dismiss_alarms: bool, batch_size: int) -> Tuple[int, int]:
+    """Feed ``requests`` in ``batch_size`` chunks; returns (requests, alarms)."""
+    submit_batch = device.submit_batch
+    alarms = 0
+    total = len(requests)
+    index = 0
+    while index < total:
+        index += submit_batch(requests[index:index + batch_size])
+        if dismiss_alarms and device.read_only:
+            alarms += 1
+            device.dismiss_alarm()
+    device.tick(duration)
+    return index, alarms
+
+
 def profile_requests(
     requests,
     duration: float,
@@ -79,55 +94,54 @@ def profile_requests(
     ransomware: Optional[str] = None,
     batch_size: int = REPLAY_BATCH,
 ) -> Dict[str, object]:
-    """Replay a request stream under the profiler; returns the report.
+    """Replay a request stream unarmed, then armed; returns the report.
 
-    The whole replay loop sits inside a root ``replay`` section, so the
-    driver loop's own cost lands in ``replay``'s *exclusive* time — a
-    named layer like any other — and the per-layer exclusive sums
-    partition the measured wall time (the >= 95% coverage invariant holds
-    by construction rather than by luck).
+    Each replay runs on a fresh device.  The first, with no profiler,
+    gives the unarmed wall time; the second runs under an armed
+    :class:`~repro.obs.prof.LayerProfiler`, and the report's overhead is
+    the ratio of the two.  The armed replay sits inside a root
+    ``replay`` section, so the driver loop's own cost lands in
+    ``replay``'s *exclusive* time — a named layer like any other — and
+    the per-layer exclusive sums partition the measured wall time (the
+    >= 95% coverage invariant holds by construction rather than by luck).
 
     Requests are fed through :meth:`SimulatedSSD.submit_batch` in
     ``batch_size`` chunks — the device-path fast lane — so the profile
     measures the amortized submission path the replay harnesses actually
     run, not a per-request loop nothing else uses.
 
-    The cyclic garbage collector is paused for the measured region
+    The cyclic garbage collector is paused for the measured regions
     (standard benchmark hygiene): its stop-the-world pauses land inside
-    whichever ~2 µs section happens to be open and smear milliseconds of
+    whichever ~2 µs layer happens to be open and smear milliseconds of
     collector time across unrelated layers.  Nothing the replay allocates
     per-operation is cyclic (backup entries are flat ``__slots__``
     records), so reference counting reclaims everything and the pause
     only defers collector housekeeping, never changes attribution
     semantics.
     """
-    profiler = LayerProfiler()
-    obs = Observability(profiler=profiler)
-    device = SimulatedSSD(config or SSDConfig.small(), obs=obs)
+    config = config or SSDConfig.small()
+    device = SimulatedSSD(config)
     num_lbas = device.num_lbas
-    submit_batch = device.submit_batch
-    alarms = 0
+    remapped = [
+        IORequest(time=request.time,
+                  lba=request.lba % max(1, num_lbas - request.length),
+                  mode=request.mode, length=request.length,
+                  source=request.source)
+        for request in requests
+    ]
     gc_was_enabled = gc.isenabled()
     gc.disable()
-    started = perf_counter()
     try:
-        with profiler.section("replay"):
-            remapped = [
-                IORequest(time=request.time,
-                          lba=request.lba % max(1, num_lbas - request.length),
-                          mode=request.mode, length=request.length,
-                          source=request.source)
-                for request in requests
-            ]
-            total = len(remapped)
-            index = 0
-            while index < total:
-                index += submit_batch(remapped[index:index + batch_size])
-                if dismiss_alarms and device.read_only:
-                    alarms += 1
-                    device.dismiss_alarm()
-            device.tick(duration)
-        wall = perf_counter() - started
+        started = perf_counter()
+        _replay(device, remapped, duration, dismiss_alarms, batch_size)
+        unarmed_wall = perf_counter() - started
+        device = SimulatedSSD(config)
+        with LayerProfiler() as profiler:
+            started = perf_counter()
+            with profiler.section("replay"):
+                executed, alarms = _replay(device, remapped, duration,
+                                           dismiss_alarms, batch_size)
+            wall = perf_counter() - started
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -135,7 +149,7 @@ def profile_requests(
         "scenario": name,
         "ransomware": ransomware,
         "duration_s": duration,
-        "requests": index,
+        "requests": executed,
         "batch_size": batch_size,
         "device": {
             "num_lbas": num_lbas,
@@ -150,7 +164,8 @@ def profile_requests(
         "nand_reliability": device.nand.reliability.as_dict(),
     }
     return build_report(profiler, wall, context=context,
-                        meta=report_meta(context))
+                        meta=report_meta(context),
+                        unarmed_wall_s=unarmed_wall)
 
 
 def profile_device_replay(
@@ -205,12 +220,23 @@ def render_tree(report: Dict[str, object], min_pct: float = 0.5) -> str:
     return "\n".join(lines)
 
 
+def render_overhead(report: Dict[str, object]) -> str:
+    """One line: the measured armed-vs-unarmed cost of profiling."""
+    overhead = report["overhead"]
+    if overhead is None:
+        return "profiler overhead: not measured (no unarmed replay)"
+    return (
+        f"profiler overhead: armed {float(report['wall_time_s']) * 1e3:.1f} ms "
+        f"vs unarmed {float(overhead['unarmed_wall_s']) * 1e3:.1f} ms "
+        f"({float(overhead['fraction_of_wall']) * 100:+.1f}%)"
+    )
+
+
 def render_report(report: Dict[str, object], top: int = 10) -> str:
     """The full human-facing rendering of one profile report."""
     context = report.get("context", {})
     coverage = report["coverage"]
     device = report["device_path"]
-    overhead = report["overhead"]
     parts = [
         f"profile: {context.get('scenario', '?')} "
         f"({context.get('requests', '?')} requests, "
@@ -225,10 +251,7 @@ def render_report(report: Dict[str, object], top: int = 10) -> str:
         "",
         f"device path: {float(device['fraction_of_wall']) * 100:.1f}% of "
         f"wall, top layers: {', '.join(device['top_layers']) or '-'}",
-        f"profiler overhead: {overhead['events']:,} events x "
-        f"{overhead['calibrated_ns_per_event']} ns = "
-        f"{float(overhead['estimated_s']) * 1e3:.1f} ms "
-        f"({float(overhead['estimated_fraction_of_wall']) * 100:.1f}% of wall)",
+        render_overhead(report),
     ]
     nand = context.get("nand_busy")
     if nand:

@@ -1,11 +1,14 @@
 """SimulatedSSD: host API, read-only lockdown, recovery flow."""
 
+import dataclasses
+
 import pytest
 
 from repro.blockdev.request import read as read_req, write as write_req
 from repro.core.detector import RansomwareDetector
 from repro.core.id3 import DecisionTree, TreeNode
-from repro.errors import DeviceReadOnlyError, RecoveryError
+from repro.errors import AddressError, DeviceReadOnlyError, RecoveryError
+from repro.nand.block import PageState
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SimulatedSSD
 from repro.units import BLOCK_SIZE
@@ -151,3 +154,50 @@ class TestRecovery:
         ssd.recover()
         with pytest.raises(RecoveryError):
             ssd.recover()
+
+
+class TestOutOfRangeRejected:
+    """A request reaching past the logical space changes no state."""
+
+    @staticmethod
+    def snapshot(ssd):
+        detector = ssd.detector
+        current = detector._current
+        return {
+            "slice": (current.index, current.rio, current.wio, current.owio),
+            "table": len(detector.table),
+            "events": list(detector.events),
+            "queue": [(e.lba, e.old_ppa, e.new_ppa, e.timestamp)
+                      for e in ssd.ftl.queue],
+            "ftl_stats": dataclasses.replace(ssd.ftl.stats),
+            "device_stats": dataclasses.replace(ssd.stats),
+            "mapping": list(ssd.ftl.mapping.items()),
+        }
+
+    def test_rejected_before_any_state_changes(self):
+        ssd = SimulatedSSD(SSDConfig.small())
+        end = ssd.num_lbas
+        for lba in range(8):
+            ssd.write(lba, now=0.5)
+        ssd.write(3, now=1.0)  # an overwrite: queue holds a backup
+        before = self.snapshot(ssd)
+        rejected = [
+            lambda: ssd.write(end, now=1.5),
+            lambda: ssd.write(-1, now=1.5),
+            lambda: ssd.read(end, now=1.5),
+            lambda: ssd.trim(end, now=1.5),
+            lambda: ssd.submit(write_req(1.5, end - 2, length=4)),
+            lambda: ssd.submit_batch([write_req(1.5, end - 1, length=2)]),
+            lambda: ssd.submit(read_req(1.5, end, length=1)),
+        ]
+        for call in rejected:
+            with pytest.raises(AddressError):
+                call()
+        assert self.snapshot(ssd) == before
+        valid = ssd.nand.count_pages(PageState.VALID)
+        assert valid == ssd.ftl.mapping.mapped_count() == 8
+
+    def test_last_block_still_writable(self):
+        ssd = SimulatedSSD(SSDConfig.small())
+        ssd.submit(write_req(0.5, ssd.num_lbas - 2, length=2))
+        assert ssd.ftl.mapping.mapped_count() == 2

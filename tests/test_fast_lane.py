@@ -1,40 +1,35 @@
-"""Device-path fast lane: fused queue logging, span writes, prof.add.
+"""Device-path fast lane: queue logging and span writes.
 
-The write-path optimisations must be *invisible*:
-
-* :meth:`RecoveryQueue.log` is a fused ``expire()`` + ``push()`` with the
-  results dropped — entries, pins, hook transitions and every counter
-  must match the two-call form bit for bit, across expiry, capacity
-  eviction (including the steady-state rotate-in-place path) and the
-  entry pool.
-* The inline pin-counter maintenance (``bind_pin_counters``) must apply
-  exactly the transitions the ``on_pin``/``on_unpin`` hooks would.
-* :meth:`BaseFtl.write_span` must leave the same FTL state behind as the
-  per-block ``write()`` loop it replaces, profiler armed or not.
-* :meth:`LayerProfiler.add` must fold externally measured time into the
-  tree exactly where an equivalent section would have landed.
+* :meth:`RecoveryQueue.log` is ``expire()`` then ``push()`` in one call —
+  entries, pins, hook transitions and every counter must match the
+  two-call form, across expiry and capacity eviction.
+* :meth:`PageMappedFTL.write_span` is one FTL call per host write
+  request; it must leave the same FTL state behind as the per-block
+  ``write()`` loop, on both mapping backends, profiler armed or not — and
+  stop at exactly the same block when the span runs off the logical
+  space.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
 from repro.errors import AddressError, ConfigError
 from repro.ftl.insider import InsiderFTL
-from repro.ftl.mapping import DictMappingTable, MappingTable, UNMAPPED
 from repro.ftl.recovery_queue import BackupEntry, RecoveryQueue
 from repro.nand.array import NandArray
+from repro.nand.block import PageState
 from repro.nand.geometry import NandGeometry
-from repro.obs import Observability
-from repro.obs.prof import LayerProfiler, NullProfiler, build_report
+from repro.obs.prof import LayerProfiler
 
 
 # -- helpers ------------------------------------------------------------------
 
 def queue_snapshot(queue: RecoveryQueue) -> dict:
-    """Value-level snapshot (entry objects may be recycled by log())."""
+    """Value-level snapshot of the queue and its pin index."""
     return {
         "entries": [(e.lba, e.old_ppa, e.new_ppa, e.timestamp)
                     for e in queue],
@@ -66,8 +61,13 @@ def random_stream(seed: int, n: int = 400, ppa_universe: int = 128,
 
 
 def reference_apply(queue: RecoveryQueue, lba, old_ppa, new_ppa, timestamp):
-    queue.expire(timestamp)
-    queue.push(BackupEntry(lba, old_ppa, new_ppa, timestamp))
+    expired = queue.expire(timestamp)
+    evicted = queue.push(BackupEntry(lba, old_ppa, new_ppa, timestamp))
+    return expired, evicted
+
+
+def entry_values(entries):
+    return [(e.lba, e.old_ppa, e.new_ppa, e.timestamp) for e in entries]
 
 
 # -- RecoveryQueue.log() ------------------------------------------------------
@@ -79,8 +79,11 @@ class TestFusedLogEquivalence:
         fast = RecoveryQueue(retention=5.0, capacity=capacity)
         ref = RecoveryQueue(retention=5.0, capacity=capacity)
         for lba, old_ppa, new_ppa, timestamp in random_stream(seed):
-            fast.log(lba, old_ppa, new_ppa, timestamp)
-            reference_apply(ref, lba, old_ppa, new_ppa, timestamp)
+            expired, evicted = fast.log(lba, old_ppa, new_ppa, timestamp)
+            ref_expired, ref_evicted = reference_apply(
+                ref, lba, old_ppa, new_ppa, timestamp)
+            assert entry_values(expired) == entry_values(ref_expired)
+            assert entry_values(evicted) == entry_values(ref_evicted)
         assert queue_snapshot(fast) == queue_snapshot(ref)
         fast.audit()
         ref.audit()
@@ -100,35 +103,6 @@ class TestFusedLogEquivalence:
         assert fast_calls == ref_calls
         assert queue_snapshot(fast) == queue_snapshot(ref)
 
-    def test_inline_counters_match_hook_dispatch(self):
-        """bind_pin_counters maintains the exact state the hooks would."""
-        ppb, blocks = 4, 64
-        fast = RecoveryQueue(retention=5.0, capacity=8)
-        ref = RecoveryQueue(retention=5.0, capacity=8)
-        fast_counts, fast_dirty = [0] * blocks, set()
-        ref_counts, ref_dirty = [0] * blocks, set()
-
-        def make_hooks(counts, dirty):
-            def on_pin(ppa):
-                counts[ppa // ppb] += 1
-                dirty.add(ppa // ppb)
-
-            def on_unpin(ppa):
-                counts[ppa // ppb] -= 1
-                dirty.add(ppa // ppb)
-
-            return on_pin, on_unpin
-
-        fast.on_pin, fast.on_unpin = make_hooks(fast_counts, fast_dirty)
-        fast.bind_pin_counters(fast_counts, fast_dirty, ppb)
-        ref.on_pin, ref.on_unpin = make_hooks(ref_counts, ref_dirty)
-        for lba, old_ppa, new_ppa, timestamp in random_stream(23, n=500):
-            fast.log(lba, old_ppa, new_ppa, timestamp)
-            reference_apply(ref, lba, old_ppa, new_ppa, timestamp)
-        assert fast_counts == ref_counts
-        assert fast_dirty == ref_dirty
-        assert queue_snapshot(fast) == queue_snapshot(ref)
-
     def test_rejects_time_regression(self):
         queue = RecoveryQueue(capacity=4)
         queue.log(1, 100, 200, 5.0)
@@ -136,7 +110,7 @@ class TestFusedLogEquivalence:
             queue.log(2, 101, 201, 4.0)
 
     def test_capacity_one_recycles_in_place(self):
-        """The rotate-in-place corner: the evicted entry is its own head."""
+        """The evicted entry is the queue's only (head) entry."""
         queue = RecoveryQueue(retention=10.0, capacity=1)
         queue.log(1, 100, 200, 0.0)
         queue.log(2, 101, 201, 1.0)
@@ -154,20 +128,25 @@ class TestFusedLogEquivalence:
         assert queue.depth_peak == 3
         assert queue.evictions == 7
 
+    def test_nothing_left_returns_the_shared_empty_tuple(self):
+        queue = RecoveryQueue(retention=10.0)
+        expired, evicted = queue.log(1, 100, 200, 0.0)
+        assert expired is RecoveryQueue.EMPTY
+        assert evicted is RecoveryQueue.EMPTY
+
 
 # -- write_span() -------------------------------------------------------------
 
-def make_pair(capacity=8, mapping_backend="flat", profiled=True):
-    """Two identical Insider FTLs: span-writer (optionally profiled) + loop."""
-    def build(obs):
+def make_pair(capacity=8, mapping_backend="flat"):
+    """Two identical Insider FTLs: one for write_span, one for the loop."""
+    def build():
         nand = NandArray(NandGeometry(channels=1, ways=1, blocks_per_chip=12,
                                       pages_per_block=8))
         return InsiderFTL(nand, op_ratio=0.45, retention=5.0,
-                          queue_capacity=capacity, obs=obs,
+                          queue_capacity=capacity,
                           mapping_backend=mapping_backend)
 
-    obs = Observability(profiler=LayerProfiler()) if profiled else None
-    return build(obs), build(None)
+    return build(), build()
 
 
 def assert_ftl_state_equal(span_ftl, loop_ftl):
@@ -184,110 +163,37 @@ class TestWriteSpanEquivalence:
     @pytest.mark.parametrize("profiled", [True, False])
     @pytest.mark.parametrize("mapping_backend", ["flat", "dict"])
     def test_state_matches_per_block_loop(self, profiled, mapping_backend):
-        span_ftl, loop_ftl = make_pair(mapping_backend=mapping_backend,
-                                       profiled=profiled)
+        """The span writer (optionally under an armed profiler) leaves
+        the same state as a plain per-block loop."""
+        span_ftl, loop_ftl = make_pair(mapping_backend=mapping_backend)
         rng = random.Random(42)
         num_lbas = span_ftl.mapping.num_lbas
+        spans = []
         timestamp = 0.0
         for _ in range(120):
             timestamp += rng.uniform(0.0, 0.5)
             length = rng.randint(1, 6)
-            lba = rng.randrange(max(1, num_lbas - length))
-            span_ftl.write_span(lba, length, timestamp)
+            spans.append((rng.randrange(max(1, num_lbas - length)), length,
+                          timestamp))
+        with LayerProfiler() if profiled else nullcontext():
+            for lba, length, timestamp in spans:
+                span_ftl.write_span(lba, length, timestamp)
+        for lba, length, timestamp in spans:
             for offset in range(length):
                 loop_ftl.write(lba + offset, timestamp)
         assert_ftl_state_equal(span_ftl, loop_ftl)
 
-    def test_profiled_span_records_batched_layers(self):
-        span_ftl, _ = make_pair(profiled=True)
-        span_ftl.write_span(0, 4, 1.0)
-        span_ftl.write_span(0, 4, 2.0)  # overwrites: queue.update fires
-        profiler = span_ftl.obs.profiler
-        report = build_report(profiler, 1.0)
-        layers = {row["layer"]: row for row in report["layers"]}
-        assert layers["ftl.write"]["calls"] == 2  # one section per request
-        assert layers["ftl.translate"]["calls"] == 8  # one per block
-        assert layers["queue.update"]["calls"] == 8
-
     def test_out_of_range_span_raises_like_the_loop(self):
-        span_ftl, loop_ftl = make_pair(profiled=True)
+        span_ftl, loop_ftl = make_pair()
         num_lbas = span_ftl.mapping.num_lbas
         with pytest.raises(AddressError):
             span_ftl.write_span(num_lbas - 2, 4, 1.0)
         with pytest.raises(AddressError):
             for offset in range(4):
                 loop_ftl.write(num_lbas - 2 + offset, 1.0)
-        # Both stopped at the same block: the two in-range writes landed.
+        # Both stopped at the same block: the two in-range writes landed,
+        # and the rejected block programmed nothing.
         assert span_ftl.stats.host_writes == loop_ftl.stats.host_writes == 2
-
-
-# -- LayerProfiler.add() ------------------------------------------------------
-
-def find_node(tree, name):
-    for child in tree["children"]:
-        if child["name"] == name:
-            return child
-        found = find_node(child, name)
-        if found is not None:
-            return found
-    return None
-
-
-class TestProfilerAdd:
-    def test_accumulates_under_open_section(self):
-        profiler = LayerProfiler()
-        before = profiler.events
-        with profiler.section("replay"):
-            with profiler.section("ftl.write"):
-                profiler.add("queue.update", 3_000_000, calls=3)
-                profiler.add("queue.update", 2_000_000)
-        assert profiler.events == before + 2 + 4  # 2 sections + 4 folded
-        report = build_report(profiler, 1.0)
-        node = find_node(report["tree"], "queue.update")
-        assert node is not None
-        assert node["calls"] == 4
-        assert node["inclusive_s"] == pytest.approx(0.005)
-        parent = find_node(report["tree"], "ftl.write")
-        assert any(c["name"] == "queue.update" for c in parent["children"])
-
-    def test_top_level_add_lands_under_root(self):
-        profiler = LayerProfiler()
-        profiler.add("standalone", 1_000_000)
-        report = build_report(profiler, 1.0)
-        assert find_node(report["tree"], "standalone")["calls"] == 1
-
-    def test_null_profiler_add_is_noop(self):
-        NullProfiler().add("anything", 123, calls=9)  # must not raise
-
-
-# -- update_unchecked / span_refs --------------------------------------------
-
-class TestUncheckedMappingUpdate:
-    @pytest.mark.parametrize("cls", [MappingTable, DictMappingTable])
-    def test_matches_checked_update(self, cls):
-        checked = cls(32, num_ppas=64)
-        unchecked = cls(32, num_ppas=64)
-        rng = random.Random(5)
-        for ppa in range(40):
-            lba = rng.randrange(32)
-            assert (unchecked.update_unchecked(lba, ppa)
-                    == checked.update(lba, ppa))
-        assert list(checked.items()) == list(unchecked.items())
-        assert checked.mapped_count() == unchecked.mapped_count()
-        for ppa in range(64):
-            assert checked.lba_of(ppa) == unchecked.lba_of(ppa)
-
-    def test_span_refs_exposes_backing_arrays(self):
-        table = MappingTable(16, num_ppas=32)
-        forward, reverse = table.span_refs()
-        # Inline span transition, then fold the delta back.
-        assert forward[3] == UNMAPPED
-        forward[3] = 7
-        reverse[7] = 3
-        table.add_mapped(1)
-        assert table.lookup(3) == 7
-        assert table.lba_of(7) == 3
-        assert table.mapped_count() == 1
-
-    def test_span_refs_absent_without_reverse_map(self):
-        assert MappingTable(16).span_refs() is None
+        for ftl in (span_ftl, loop_ftl):
+            valid = ftl.nand.count_pages(PageState.VALID)
+            assert valid == ftl.mapping.mapped_count() == 2

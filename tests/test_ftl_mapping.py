@@ -5,7 +5,6 @@ import pytest
 from repro.errors import AddressError
 from repro.ftl.mapping import (
     MAPPING_BACKENDS,
-    UNMAPPED,
     DictMappingTable,
     MappingTable,
     create_mapping_table,
@@ -94,29 +93,6 @@ class TestReverseMap:
         table.update(5, 40)
         assert table.lba_of(40) == 5
         assert table.lba_of(41) is None
-
-
-class TestTranslateMany:
-    @pytest.mark.parametrize("backend", sorted(MAPPING_BACKENDS))
-    @pytest.mark.parametrize("size", [0, 3, 64])  # below/above vector cutoff
-    def test_matches_lookup(self, backend, size):
-        table = create_mapping_table(backend, num_lbas=128)
-        for lba in range(0, 128, 3):
-            table.update(lba, 1000 + lba)
-        lbas = [(7 * i) % 128 for i in range(size)]
-        got = table.translate_many(lbas)
-        want = [table.lookup(lba) for lba in lbas]
-        assert got == [UNMAPPED if p is None else p for p in want]
-
-    @pytest.mark.parametrize("backend", sorted(MAPPING_BACKENDS))
-    @pytest.mark.parametrize("size", [3, 64])
-    def test_out_of_range_raises(self, backend, size):
-        table = create_mapping_table(backend, num_lbas=128)
-        lbas = list(range(size - 1)) + [128]
-        with pytest.raises(AddressError):
-            table.translate_many(lbas)
-        with pytest.raises(AddressError):
-            table.translate_many([-1] * size)
 
 
 class TestFactory:

@@ -1,11 +1,13 @@
 """Layer-attributed profiler: accounting, safety, and the do-no-harm gate.
 
 The profiler exists to make the device-path bottleneck legible, so its
-two hard obligations are tested here: (1) arming it must not change a
-single :class:`~repro.core.detector.DetectionEvent` on the golden
-scenario, and (2) its own accounting must be self-consistent — child
-inclusive time nested inside the parent, exclusive times that partition
-the root, and a report that attributes (and quantifies) its own cost.
+hard obligations are tested here: (1) arming it must not change a single
+detection event, rollback report or statistics counter on the golden
+scenario, (2) disarming must put every boundary function back, (3) the
+boundary table must resolve and never nest a layer inside itself, and
+(4) its own accounting must be self-consistent — child inclusive time
+nested inside the parent, exclusive times that partition the root, exact
+call counts, and a report that states its measured cost.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs import LayerProfiler, Observability
+from repro.obs import LayerProfiler
 from repro.obs.prof import (
     DEVICE_PATH_PREFIXES,
+    LAYERS,
     PROFILE_SCHEMA,
     build_report,
-    calibrate_overhead,
+    resolve,
 )
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SimulatedSSD
@@ -91,13 +94,6 @@ class TestCallTreeAccounting:
         assert prof.depth == 0
         assert prof.root.children["failing"].calls == 1
 
-    def test_calibrated_overhead_is_sane(self):
-        per_event_ns = calibrate_overhead(iterations=5_000)
-        # A section enter+exit is tens to hundreds of ns on any host this
-        # suite runs on; catastrophically wrong calibration (0, or ms+)
-        # would poison every report's overhead estimate.
-        assert 10 <= per_event_ns <= 100_000
-
 
 class TestBuildReport:
     def _report(self):
@@ -129,12 +125,15 @@ class TestBuildReport:
         assert "detector.observe" in names  # reported, but not device-path
 
     def test_overhead_is_quantified(self):
-        report = self._report()
-        overhead = report["overhead"]
-        assert overhead["events"] == 4
-        assert overhead["calibrated_ns_per_event"] > 0
-        assert overhead["estimated_s"] >= 0
-        assert 0 <= overhead["estimated_fraction_of_wall"] <= 1
+        # Without an unarmed run there is nothing to compare against.
+        assert self._report()["overhead"] is None
+        prof = LayerProfiler()
+        with prof.section("replay"):
+            pass
+        overhead = build_report(prof, wall_time_s=1.5,
+                                unarmed_wall_s=1.0)["overhead"]
+        assert overhead["unarmed_wall_s"] == 1.0
+        assert overhead["fraction_of_wall"] == pytest.approx(0.5)
 
     def test_open_sections_rejected(self):
         prof = LayerProfiler()
@@ -146,32 +145,129 @@ class TestBuildReport:
         json.dumps(self._report())
 
 
-class TestDoNoHarm:
-    """Arming the profiler must be invisible to detection behaviour."""
-
-    def _replay(self, run, obs):
-        device = SimulatedSSD(SSDConfig.small(), obs=obs)
-        num_lbas = device.num_lbas
-        for request in run.trace:
-            lba = request.lba % max(1, num_lbas - request.length)
-            device.submit(dataclasses.replace(request, lba=lba))
-            if device.read_only:
+def _replay(run, recover=False):
+    """Replay ``run`` on a fresh small device; returns it and the count."""
+    device = SimulatedSSD(SSDConfig.small())
+    num_lbas = device.num_lbas
+    submitted = 0
+    for request in run.trace:
+        lba = request.lba % max(1, num_lbas - request.length)
+        device.submit(dataclasses.replace(request, lba=lba))
+        submitted += 1
+        if device.read_only:
+            if recover:
+                device.recover()
+            else:
                 device.dismiss_alarm()
-        device.tick(run.duration)
-        return device
+    device.tick(run.duration)
+    return device, submitted
 
-    def test_detection_event_stream_bit_identical(self):
-        """Acceptance: profiler-armed run == plain run, event for event."""
-        run = _golden_run(duration=8.0)
-        plain = self._replay(run, obs=None)
-        armed = self._replay(
-            run, obs=Observability(profiler=LayerProfiler())
-        )
-        assert len(plain.detector.events) == len(armed.detector.events)
-        for ours, theirs in zip(plain.detector.events,
-                                armed.detector.events):
-            assert ours == theirs  # frozen dataclass: bitwise field equality
+
+def _tree_paths(node, path=()):
+    """Yield every root-to-node chain of layer names in a report tree."""
+    for child in node["children"]:
+        chain = path + (child["name"],)
+        yield chain
+        yield from _tree_paths(child, chain)
+
+
+@pytest.fixture(scope="module")
+def golden_armed():
+    """One armed golden replay: (profiler, device, requests submitted).
+
+    12 simulated seconds: long enough for GC erases and two rollbacks.
+    """
+    run = _golden_run(duration=12.0)
+    with LayerProfiler() as prof:
+        device, submitted = _replay(run, recover=True)
+    return prof, device, submitted
+
+
+class TestBoundaryTable:
+    def test_every_entry_resolves(self):
+        """A renamed or deleted layer function fails here, instead of
+        silently dropping its layer from every profile."""
+        for layer, module_name, qualname in LAYERS:
+            owner, attribute, function = resolve(module_name, qualname)
+            assert function.__name__ == attribute, layer
+
+    def test_unknown_entry_rejected(self):
+        with pytest.raises(ObservabilityError):
+            resolve("repro.ssd.device", "SimulatedSSD.no_such_method")
+        with pytest.raises(ObservabilityError):
+            resolve("repro.ssd.device", "NoSuchClass.submit")
+
+    def test_exit_restores_every_original(self):
+        originals = [resolve(module_name, qualname)
+                     for _, module_name, qualname in LAYERS]
+        with LayerProfiler() as prof:
+            assert prof.armed
+            for owner, attribute, function in originals:
+                assert vars(owner)[attribute] is not function
+        assert not prof.armed
+        for owner, attribute, function in originals:
+            assert vars(owner)[attribute] is function
+
+    def test_exit_restores_after_a_raising_replay(self):
+        originals = [resolve(module_name, qualname)
+                     for _, module_name, qualname in LAYERS]
+        device = SimulatedSSD(SSDConfig.small())
+        with pytest.raises(ObservabilityError):
+            with LayerProfiler() as prof:
+                device.write(0, now=0.0)
+                raise ObservabilityError("replay failed")
+        assert prof.root.children["ssd.write"].calls == 1
+        for owner, attribute, function in originals:
+            assert vars(owner)[attribute] is function
+
+    def test_arming_twice_rejected(self):
+        prof = LayerProfiler()
+        with prof:
+            with pytest.raises(ObservabilityError):
+                prof.__enter__()
+        assert not prof.armed
+
+    def test_no_layer_nested_under_itself(self, golden_armed):
+        """Keeps the inclusive sums of layers() free of double counting."""
+        prof, _, _ = golden_armed
+        for chain in _tree_paths(prof.root.as_dict()):
+            assert len(set(chain)) == len(chain), chain
+
+
+class TestExactCounts:
+    def test_golden_counts_match_device_state(self, golden_armed):
+        prof, device, submitted = golden_armed
+        layers = prof.layers()
+        assert device.ftl.stats.erases > 0
+        assert layers["detector.observe"]["calls"] == submitted
+        assert layers["ssd.submit"]["calls"] == submitted
+        assert layers["nand.erase"]["calls"] == device.ftl.stats.erases
+        assert layers["ftl.rollback"]["calls"] == len(device.rollback_reports)
+        assert layers["ftl.write"]["calls"] == device.ftl.stats.host_writes
+
+    def test_two_armed_replays_count_identically(self, golden_armed):
+        first, _, _ = golden_armed
+        with LayerProfiler() as second:
+            _replay(_golden_run(duration=12.0), recover=True)
+        calls = lambda prof: {name: stats["calls"]
+                              for name, stats in prof.layers().items()}
+        assert calls(first) == calls(second)
+
+
+class TestDoNoHarm:
+    """Arming the profiler must be invisible to device behaviour."""
+
+    def test_detection_event_stream_bit_identical(self, golden_armed):
+        """Acceptance: profiler-armed run == plain run, event for event,
+        rollback for rollback, counter for counter."""
+        _, armed, _ = golden_armed
+        plain, _ = _replay(_golden_run(duration=12.0), recover=True)
+        assert armed.rollback_reports, "golden replay must roll back"
+        assert plain.detector.events == armed.detector.events
         assert plain.detector.alarm_event == armed.detector.alarm_event
+        assert plain.rollback_reports == armed.rollback_reports
+        assert plain.ftl.stats == armed.ftl.stats
+        assert plain.stats == armed.stats
 
 
 class TestGoldenCoverage:
