@@ -240,7 +240,7 @@ def _run_device_impl(
         )
     replayed = 0
     blocks_written = blocks_read = 0
-    # Replay through the batched fast lane.  submit_batch stops at the
+    # Replay in batches.  submit_batch stops at the
     # read-only *transition*, so the alarm check below lands on the exact
     # request that raised it — the same boundary the old per-request loop
     # broke on — and the executed prefix is all that counts toward the

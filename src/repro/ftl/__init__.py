@@ -13,7 +13,7 @@
 from repro.ftl.conventional import ConventionalFTL
 from repro.ftl.gc import GcPolicy
 from repro.ftl.insider import InsiderFTL, RollbackReport
-from repro.ftl.mapping import DictMappingTable, MappingTable, create_mapping_table
+from repro.ftl.mapping import MappingTable
 from repro.ftl.recovery_queue import BackupEntry, RecoveryQueue
 from repro.ftl.stats import FtlStats
 from repro.ftl.victim import VictimPolicy
@@ -22,7 +22,6 @@ from repro.ftl.victim_index import VictimIndex
 __all__ = [
     "BackupEntry",
     "ConventionalFTL",
-    "DictMappingTable",
     "FtlStats",
     "GcPolicy",
     "InsiderFTL",
@@ -31,5 +30,4 @@ __all__ = [
     "RollbackReport",
     "VictimIndex",
     "VictimPolicy",
-    "create_mapping_table",
 ]

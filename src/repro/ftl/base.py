@@ -21,7 +21,7 @@ from repro.errors import (
 )
 from repro.ftl.allocator import BlockAllocator
 from repro.ftl.gc import GcPolicy
-from repro.ftl.mapping import create_mapping_table
+from repro.ftl.mapping import MappingTable
 from repro.ftl.stats import FtlStats
 from repro.ftl.victim_index import VictimIndex
 from repro.nand.array import NandArray
@@ -39,8 +39,6 @@ class PageMappedFTL:
         gc_policy: Trigger/target free-block thresholds for GC.
         obs: Observability bundle (GC spans, victim instants, page-copy
             counters); disabled by default.
-        mapping_backend: Translation-table backend name (``"flat"`` or
-            ``"dict"``; see :mod:`repro.ftl.mapping`).
     """
 
     def __init__(
@@ -49,7 +47,6 @@ class PageMappedFTL:
         op_ratio: float = 0.125,
         gc_policy: Optional[GcPolicy] = None,
         obs: Optional[Observability] = None,
-        mapping_backend: str = "flat",
     ) -> None:
         if not (0.0 < op_ratio < 1.0):
             raise ConfigError(f"op_ratio must be in (0, 1), got {op_ratio}")
@@ -68,9 +65,8 @@ class PageMappedFTL:
                 f"blocks ({3 * nand.geometry.pages_per_block} pages); greedy "
                 f"GC cannot run safely — raise op_ratio or enlarge the array"
             )
-        self.mapping = create_mapping_table(
-            mapping_backend, num_lbas, num_ppas=nand.geometry.pages_total
-        )
+        self.mapping = MappingTable(num_lbas,
+                                    num_ppas=nand.geometry.pages_total)
         #: The logical bound :meth:`write` checks against, cached as a
         #: plain int for the per-block path.
         self._lba_limit = num_lbas

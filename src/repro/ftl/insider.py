@@ -54,10 +54,9 @@ class InsiderFTL(PageMappedFTL):
         retention: float = 10.0,
         queue_capacity: Optional[int] = None,
         obs: Optional[Observability] = None,
-        mapping_backend: str = "flat",
     ) -> None:
         super().__init__(nand, op_ratio=op_ratio, gc_policy=gc_policy,
-                         obs=obs, mapping_backend=mapping_backend)
+                         obs=obs)
         if queue_capacity is None:
             # Provision the queue against the over-provisioned space: pinned
             # old versions may consume at most half of it, leaving the rest

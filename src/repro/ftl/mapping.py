@@ -5,26 +5,17 @@ algorithm rolls back: restoring an old version of a block is a single entry
 update, never a data copy, which is why recovery completes in well under a
 second.
 
-Two interchangeable backends live here:
-
-* :class:`MappingTable` — the default **flat-array** backend: a dense
-  ``array('q')`` indexed directly by LBA (``-1`` = unmapped), optionally
-  paired with a dense PPA→LBA reverse map.  Lookup and update are a
-  C-array index instead of a dict hash.
-* :class:`DictMappingTable` — the original sparse dict backend, kept as
-  the reference implementation for the backend-equivalence oracle (and
-  for address spaces too large to back densely).
-
-Both expose the identical contract (``lookup``/``update``/``unmap``/
-``is_mapped``/``items``/``mapped_count``/``lba_of``);
-:func:`create_mapping_table` picks one by name so the choice threads
-through :class:`~repro.ssd.config.SSDConfig` untouched.
+:class:`MappingTable` is a dense ``array('q')`` indexed directly by LBA
+(``-1`` = unmapped), optionally paired with a dense PPA→LBA reverse map,
+so lookup and update are a C-array index instead of a dict hash.  The
+sparse dict table it replaced lives on in ``tests/oracles/mapping.py`` as
+the equivalence oracle the device soaks compare it against.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.errors import AddressError
 
@@ -41,9 +32,6 @@ class MappingTable:
             dense PPA -> LBA reverse map is maintained so
             :meth:`lba_of` is O(1) (GC relocation and audits use it).
     """
-
-    #: Backend name stamped into configs/reports.
-    backend = "flat"
 
     def __init__(self, num_lbas: int, num_ppas: Optional[int] = None) -> None:
         if num_lbas < 1:
@@ -136,91 +124,3 @@ class MappingTable:
 
     def __len__(self) -> int:
         return self._mapped
-
-
-class DictMappingTable:
-    """Sparse LBA -> PPA map — the original dict backend, kept as oracle."""
-
-    backend = "dict"
-
-    def __init__(self, num_lbas: int, num_ppas: Optional[int] = None) -> None:
-        if num_lbas < 1:
-            raise AddressError(f"logical space must hold >= 1 block, got {num_lbas}")
-        self._num_lbas = num_lbas
-        self._map: Dict[int, int] = {}
-        self._reverse: Dict[int, int] = {}
-
-    @property
-    def num_lbas(self) -> int:
-        """Size of the logical address space in blocks."""
-        return self._num_lbas
-
-    def _check(self, lba: int) -> None:
-        if not (0 <= lba < self._num_lbas):
-            raise AddressError(f"LBA {lba} out of range [0, {self._num_lbas})")
-
-    def lookup(self, lba: int) -> Optional[int]:
-        """PPA currently mapped for ``lba``, or None if unmapped."""
-        self._check(lba)
-        return self._map.get(lba)
-
-    def is_mapped(self, lba: int) -> bool:
-        """True if the LBA currently has a physical page."""
-        self._check(lba)
-        return lba in self._map
-
-    def update(self, lba: int, ppa: int) -> Optional[int]:
-        """Point ``lba`` at ``ppa``; returns the previous PPA (or None)."""
-        self._check(lba)
-        if ppa < 0:
-            raise AddressError(f"PPA must be non-negative, got {ppa}")
-        previous = self._map.get(lba)
-        self._map[lba] = ppa
-        if previous is not None:
-            self._reverse.pop(previous, None)
-        self._reverse[ppa] = lba
-        return previous
-
-    def unmap(self, lba: int) -> Optional[int]:
-        """Remove the mapping for ``lba``; returns the removed PPA (or None)."""
-        self._check(lba)
-        previous = self._map.pop(lba, None)
-        if previous is not None:
-            self._reverse.pop(previous, None)
-        return previous
-
-    def lba_of(self, ppa: int) -> Optional[int]:
-        """LBA currently mapped to ``ppa``, or None."""
-        return self._reverse.get(ppa)
-
-    def mapped_count(self) -> int:
-        """Number of currently-mapped LBAs."""
-        return len(self._map)
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        """Iterate over ``(lba, ppa)`` pairs (unspecified order)."""
-        return iter(self._map.items())
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-
-#: Registered mapping backends, by config name.
-MAPPING_BACKENDS = {
-    "flat": MappingTable,
-    "dict": DictMappingTable,
-}
-
-
-def create_mapping_table(
-    backend: str, num_lbas: int, num_ppas: Optional[int] = None
-):
-    """Build a mapping table by backend name (``"flat"`` or ``"dict"``)."""
-    try:
-        cls = MAPPING_BACKENDS[backend]
-    except KeyError:
-        raise AddressError(
-            f"unknown mapping backend {backend!r}; "
-            f"expected one of {sorted(MAPPING_BACKENDS)}"
-        ) from None
-    return cls(num_lbas, num_ppas=num_ppas)

@@ -10,23 +10,18 @@ the ablation benchmarks can quantify what the choice costs the Insider FTL
 (pinned pages shift every policy's arithmetic the same way: a pinned page
 is not reclaimable and must be copied).
 
-:func:`select_victim` is the brute-force implementation — a linear scan
-over every block that re-walks every page to count recovery-queue pins.
-The FTL itself no longer calls it on the hot path (profiling showed the
-scan at 74.5 % of device-path wall time); it selects through the
-incrementally maintained :class:`~repro.ftl.victim_index.VictimIndex`
-instead.  The scan survives as the *oracle*: equivalence tests assert the
-index picks exactly the block this function picks, for every policy.  Both
-implementations score blocks through the shared scalar helpers below, so
-their arithmetic is bit-identical by construction.
+The FTL selects through the incrementally maintained
+:class:`~repro.ftl.victim_index.VictimIndex`; the brute-force scan it
+replaced (profiling showed it at 74.5 % of device-path wall time) lives
+on in ``tests/oracles/victim.py`` as the oracle the index must match for
+every policy.  Both score blocks through the shared scalar helpers below,
+so their arithmetic is bit-identical by construction.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
 
-from repro.nand.array import NandArray
 from repro.nand.block import Block, PageState
 
 
@@ -39,42 +34,6 @@ class VictimPolicy(enum.Enum):
     COST_BENEFIT = "cost_benefit"
     #: Greedy, tie-broken toward the least-worn block.
     WEAR_AWARE = "wear_aware"
-
-
-def select_victim(
-    nand: NandArray,
-    is_candidate: Callable[[int], bool],
-    is_pinned: Callable[[int], bool],
-    policy: VictimPolicy = VictimPolicy.GREEDY,
-    now: float = 0.0,
-) -> Optional[int]:
-    """Pick the next victim under ``policy``; None when nothing helps.
-
-    Brute force (O(blocks x pages_per_block)): kept as the reference
-    oracle for :class:`~repro.ftl.victim_index.VictimIndex`.
-    """
-    best_block: Optional[int] = None
-    best_score = 0.0
-    pages = nand.geometry.pages_per_block
-    for global_block in range(nand.num_blocks):
-        if not is_candidate(global_block):
-            continue
-        block = nand.block(global_block)
-        if not block.is_full or block.invalid_count == 0:
-            continue
-        reclaimable = block.invalid_count - _count_pinned(
-            nand, global_block, is_pinned
-        )
-        if reclaimable <= 0:
-            continue
-        score = score_block(
-            policy, reclaimable, pages, block.erase_count,
-            block_newest(block), now,
-        )
-        if score > best_score:
-            best_score = score
-            best_block = global_block
-    return best_block
 
 
 def score_block(
@@ -113,15 +72,3 @@ def block_newest(block: Block) -> float:
          if page.state is not PageState.FREE),
         default=0.0,
     )
-
-
-def _count_pinned(
-    nand: NandArray, global_block: int, is_pinned: Callable[[int], bool]
-) -> int:
-    block = nand.block(global_block)
-    count = 0
-    for ppa in nand.block_ppa_range(global_block):
-        page = block.pages[ppa % nand.geometry.pages_per_block]
-        if page.state is PageState.INVALID and is_pinned(ppa):
-            count += 1
-    return count

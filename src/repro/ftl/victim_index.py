@@ -39,8 +39,8 @@ each block's frozen ``newest`` timestamp (a full block receives no
 further programs, so the value cannot change while the block is indexed)
 and rescans the candidate table with scalar arithmetic.
 
-Selection is bit-equivalent to the brute-force
-:func:`~repro.ftl.victim.select_victim` oracle — both score through
+Selection is bit-equivalent to the brute-force scan in
+``tests/oracles/victim.py`` — both score through
 :func:`~repro.ftl.victim.score_block` — and :meth:`audit` recounts the
 whole structure from NAND ground truth, raising on any drift.
 """
@@ -204,7 +204,7 @@ class VictimIndex:
         policy: VictimPolicy = VictimPolicy.GREEDY,
         now: float = 0.0,
     ) -> Optional[int]:
-        """The block :func:`~repro.ftl.victim.select_victim` would pick.
+        """The block a brute-force scan under ``policy`` would pick.
 
         ``is_candidate`` is still consulted live: the (at most two) open
         active blocks sit in the buckets once full but must be skipped

@@ -3,9 +3,9 @@
 Six pieces:
 
 * :mod:`repro.obs.metrics` — a metrics registry (counters, gauges,
-  fixed-bucket histograms, mergeable log-bucketed histograms) with
-  labeled series, registry-level ``merge``/``to_compact``, periodic
-  sim-time snapshots, and text/JSON/Prometheus renderers;
+  mergeable log-bucketed histograms) with labeled series, registry-level
+  ``merge``/``to_compact``, periodic sim-time snapshots, and
+  text/JSON/Prometheus renderers;
 * :mod:`repro.obs.hist` — the mergeable HDR-style
   :class:`~repro.obs.hist.LogHistogram` primitive the registry's
   latency/occupancy series are built on;
@@ -54,7 +54,6 @@ from repro.obs.hist import LogHistogram
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     LogHistogramFamily,
     MetricsRegistry,
 )
@@ -168,7 +167,6 @@ __all__ = [
     "EventTracer",
     "FlightRecorder",
     "Gauge",
-    "Histogram",
     "LayerProfiler",
     "LogHistogram",
     "LogHistogramFamily",

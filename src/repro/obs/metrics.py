@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, and two kinds of histograms.
+"""The metrics registry: counters, gauges, and mergeable log histograms.
 
 The simulated firmware's runtime state has so far been visible only through
 the ad-hoc :class:`~repro.ftl.stats.FtlStats` bundle and a one-shot SMART
@@ -9,14 +9,10 @@ exposition for terminals, a strict Prometheus exposition
 (:meth:`MetricsRegistry.render_prometheus`), and a JSON document for
 machines.
 
-Two histogram kinds coexist:
-
-* :class:`Histogram` — fixed explicit buckets (classic Prometheus ``le``
-  semantics), for series whose interesting range is known up front;
-* :class:`LogHistogramFamily` — log-bucketed HDR-style
-  :class:`~repro.obs.hist.LogHistogram` series, the default for
-  latency/occupancy distributions: unbounded dynamic range at ~3% relative
-  resolution, and **mergeable** across independent runs.
+Distributions are :class:`LogHistogramFamily` series of log-bucketed
+HDR-style :class:`~repro.obs.hist.LogHistogram`: unbounded dynamic range
+at ~3% relative resolution, no bucket bounds to choose up front, and
+**mergeable** across independent runs.
 
 Registries themselves merge (:meth:`MetricsRegistry.merge`) and round-trip
 through a compact JSON form (:meth:`MetricsRegistry.to_compact` /
@@ -64,12 +60,6 @@ DEFAULT_MAX_SNAPSHOTS = 4096
 
 #: Schema stamped into the registry's compact form.
 COMPACT_REGISTRY_SCHEMA = "ssd-insider.metrics/v1"
-
-#: Default latency buckets (seconds): 1 µs .. ~1 s in x4 steps.
-DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
-    1e-6, 4e-6, 16e-6, 64e-6, 256e-6, 1e-3, 4e-3, 16e-3, 64e-3, 256e-3, 1.0,
-)
-
 
 def _validate_name(name: str) -> str:
     if not name or not all(c.isalnum() or c == "_" for c in name):
@@ -296,161 +286,6 @@ class Gauge(MetricFamily):
         return float(theirs)  # type: ignore[arg-type]
 
 
-class _HistogramSeries:
-    """Bucket counts + sum + count for one label combination."""
-
-    __slots__ = ("bucket_counts", "sum", "count")
-
-    def __init__(self, num_buckets: int) -> None:
-        self.bucket_counts = [0] * (num_buckets + 1)  # +1 for +Inf
-        self.sum = 0.0
-        self.count = 0
-
-
-class Histogram(MetricFamily):
-    """Fixed-bucket distribution of observed values.
-
-    Buckets are cumulative upper bounds (Prometheus ``le`` semantics); an
-    implicit ``+Inf`` bucket always exists, so ``observe`` never loses a
-    sample.
-    """
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-        max_series: int = DEFAULT_MAX_SERIES,
-    ) -> None:
-        super().__init__(name, help, labelnames, max_series)
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds or any(
-            b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])
-        ):
-            raise ObservabilityError(
-                f"histogram {name!r} buckets must be a non-empty strictly "
-                f"increasing sequence, got {bounds}"
-            )
-        self.buckets = bounds
-
-    def observe(self, value: float, **labels: object) -> None:
-        """Record one observation into the labeled series."""
-        key = self._key(labels)
-        state = self._series.get(key)
-        if state is None:
-            state = _HistogramSeries(len(self.buckets))
-            self._series[key] = state
-        assert isinstance(state, _HistogramSeries)
-        index = len(self.buckets)  # +Inf by default
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
-        state.bucket_counts[index] += 1
-        state.sum += value
-        state.count += 1
-
-    def count(self, **labels: object) -> int:
-        """Observations recorded in the labeled series."""
-        state = self._series.get(self._key(labels))
-        return state.count if isinstance(state, _HistogramSeries) else 0
-
-    def sum(self, **labels: object) -> float:
-        """Sum of observed values in the labeled series."""
-        state = self._series.get(self._key(labels))
-        return state.sum if isinstance(state, _HistogramSeries) else 0.0
-
-    def _series_dict(self, state: object) -> Dict[str, object]:
-        assert isinstance(state, _HistogramSeries)
-        cumulative = 0
-        buckets = []
-        for bound, count in zip(
-            list(self.buckets) + [math.inf], state.bucket_counts
-        ):
-            cumulative += count
-            buckets.append({"le": _num(bound), "count": cumulative})
-        return {"count": state.count, "sum": state.sum, "buckets": buckets}
-
-    def _render_series(
-        self, key: Tuple[str, ...], state: object
-    ) -> List[str]:
-        assert isinstance(state, _HistogramSeries)
-        labels = self.labels_of(key)
-        lines: List[str] = []
-        cumulative = 0
-        for bound, count in zip(
-            list(self.buckets) + [math.inf], state.bucket_counts
-        ):
-            cumulative += count
-            bucket_labels = dict(labels)
-            bucket_labels["le"] = _num(bound)
-            lines.append(
-                f"{self.name}_bucket{_label_text(bucket_labels)} {cumulative}"
-            )
-        lines.append(f"{self.name}_sum{_label_text(labels)} {_num(state.sum)}")
-        lines.append(f"{self.name}_count{_label_text(labels)} {state.count}")
-        return lines
-
-    def _params(self) -> Dict[str, object]:
-        params = super()._params()
-        params["buckets"] = self.buckets
-        return params
-
-    def _merge_state(self, mine: object, theirs: object) -> object:
-        assert isinstance(mine, _HistogramSeries)
-        assert isinstance(theirs, _HistogramSeries)
-        for index, count in enumerate(theirs.bucket_counts):
-            mine.bucket_counts[index] += count
-        mine.sum += theirs.sum
-        mine.count += theirs.count
-        return mine
-
-    def _copy_state(self, state: object) -> object:
-        assert isinstance(state, _HistogramSeries)
-        copy = _HistogramSeries(len(self.buckets))
-        return self._merge_state(copy, state)
-
-    def merge_from(self, other: "MetricFamily") -> None:
-        """Fold another fixed-bucket family in (bounds must match)."""
-        if isinstance(other, Histogram) and other.buckets != self.buckets:
-            raise ObservabilityError(
-                f"cannot merge histogram {other.name!r}: bucket bounds "
-                f"differ ({other.buckets} vs {self.buckets})"
-            )
-        super().merge_from(other)
-
-    def _state_to_compact(self, state: object) -> object:
-        assert isinstance(state, _HistogramSeries)
-        return {
-            "bucket_counts": list(state.bucket_counts),
-            "sum": state.sum,
-            "count": state.count,
-        }
-
-    def _state_from_compact(self, payload: object) -> object:
-        assert isinstance(payload, Mapping)
-        state = _HistogramSeries(len(self.buckets))
-        counts = list(payload["bucket_counts"])  # type: ignore[index]
-        if len(counts) != len(state.bucket_counts):
-            raise ObservabilityError(
-                f"histogram {self.name!r} compact form has "
-                f"{len(counts)} buckets, expected {len(state.bucket_counts)}"
-            )
-        state.bucket_counts = [int(c) for c in counts]
-        state.sum = float(payload["sum"])  # type: ignore[index]
-        state.count = int(payload["count"])  # type: ignore[index]
-        return state
-
-    def to_compact(self) -> Dict[str, object]:
-        """Compact form including the bucket bounds."""
-        payload = super().to_compact()
-        payload["buckets"] = list(self.buckets)
-        return payload
-
-
 class LogHistogramFamily(MetricFamily):
     """Labeled series of mergeable :class:`~repro.obs.hist.LogHistogram`.
 
@@ -598,7 +433,7 @@ class LogHistogramFamily(MetricFamily):
 class MetricsRegistry:
     """Registry of metric families; the single hand-out point.
 
-    ``counter``/``gauge``/``histogram``/``loghistogram`` are idempotent:
+    ``counter``/``gauge``/``loghistogram`` are idempotent:
     asking for an existing family name returns the existing family (after
     checking the kind and label names agree), so independently
     instrumented components can share series without coordination.
@@ -676,23 +511,6 @@ class MetricsRegistry:
         assert isinstance(family, Gauge)
         return family
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-        max_series: int = DEFAULT_MAX_SERIES,
-    ) -> Histogram:
-        """Register (or fetch) a fixed-bucket histogram family."""
-        family = self._get_or_register(
-            Histogram, name,
-            {"help": help, "labelnames": labelnames, "buckets": buckets,
-             "max_series": max_series},
-        )
-        assert isinstance(family, Histogram)
-        return family
-
     def loghistogram(
         self,
         name: str,
@@ -756,9 +574,8 @@ class MetricsRegistry:
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold another registry's series into this one (returns self).
 
-        Merge semantics by kind: counters **add**, histograms (fixed and
-        log-bucketed) **add bucket-wise** — bucket-exact equal to one
-        pooled run — and gauges take the incoming run's value (they are
+        Merge semantics by kind: counters **add**, log histograms **add
+        bucket-wise** — bucket-exact equal to one pooled run — and gauges take the incoming run's value (they are
         point-in-time readings, not accumulations).  Snapshot rows are
         concatenated in time order.
         """
@@ -803,7 +620,6 @@ class MetricsRegistry:
         kinds = {
             "counter": Counter,
             "gauge": Gauge,
-            "histogram": Histogram,
             "loghistogram": LogHistogramFamily,
         }
         registry = cls()
@@ -817,9 +633,7 @@ class MetricsRegistry:
                 "max_series": family_payload.get(
                     "max_series", DEFAULT_MAX_SERIES),
             }
-            if kind == "histogram":
-                params["buckets"] = tuple(family_payload["buckets"])
-            elif kind == "loghistogram":
+            if kind == "loghistogram":
                 params["subbuckets"] = family_payload["subbuckets"]
                 params["min_value"] = family_payload["min_value"]
             family = registry._get_or_register(

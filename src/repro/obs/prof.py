@@ -48,12 +48,12 @@ PROFILE_SCHEMA = "ssd-insider.profile/v2"
 DEVICE_PATH_PREFIXES = ("ssd.", "ftl.", "nand.", "queue.")
 
 #: ``(layer, module, qualified function)`` for every profiled boundary.
-#: A layer may name several functions (both mapping backends translate);
+#: A layer may name several functions (lookup and update both translate);
 #: no layer may be reachable from inside itself, or the inclusive sums of
 #: :meth:`LayerProfiler.layers` would double-count.
 LAYERS: Tuple[Tuple[str, str, str], ...] = (
-    # Both host front doors (submit, submit_batch) run every request
-    # through _execute, so one boundary covers them without nesting.
+    # submit delegates to submit_batch, which runs every request through
+    # _execute, so one boundary covers both without nesting.
     ("ssd.submit", "repro.ssd.device", "SimulatedSSD._execute"),
     ("ssd.read", "repro.ssd.device", "SimulatedSSD.read"),
     ("ssd.write", "repro.ssd.device", "SimulatedSSD.write"),
@@ -68,8 +68,6 @@ LAYERS: Tuple[Tuple[str, str, str], ...] = (
     ("ftl.trim", "repro.ftl.base", "PageMappedFTL.trim"),
     ("ftl.translate", "repro.ftl.mapping", "MappingTable.lookup"),
     ("ftl.translate", "repro.ftl.mapping", "MappingTable.update"),
-    ("ftl.translate", "repro.ftl.mapping", "DictMappingTable.lookup"),
-    ("ftl.translate", "repro.ftl.mapping", "DictMappingTable.update"),
     ("queue.update", "repro.ftl.insider", "InsiderFTL._log_backup"),
     ("ftl.gc", "repro.ftl.base", "PageMappedFTL._collect_garbage"),
     ("ftl.gc.select_victim", "repro.ftl.victim_index", "VictimIndex.select"),

@@ -44,10 +44,6 @@ class SSDConfig:
     detector_enabled: bool = True
     retention: float = 10.0
     queue_capacity: Optional[int] = None
-    #: LBA->PPA translation backend: ``"flat"`` (dense array, the
-    #: device-path fast lane) or ``"dict"`` (the sparse reference
-    #: implementation the equivalence oracle runs against).
-    mapping_backend: str = "flat"
     #: Enable static wear leveling (None = off).
     wear_level: Optional["WearLevelConfig"] = None
     #: Enable read-disturb scrubbing (None = off).
@@ -66,11 +62,6 @@ class SSDConfig:
             raise ConfigError(f"retention must be positive, got {self.retention}")
         if self.maintenance_interval <= 0:
             raise ConfigError("maintenance_interval must be positive")
-        if self.mapping_backend not in ("flat", "dict"):
-            raise ConfigError(
-                f"mapping_backend must be 'flat' or 'dict', "
-                f"got {self.mapping_backend!r}"
-            )
 
     @classmethod
     def small(cls, **overrides) -> "SSDConfig":

@@ -111,7 +111,6 @@ class SimulatedSSD:
             retention=self.config.retention,
             queue_capacity=self.config.queue_capacity,
             obs=self.obs,
-            mapping_backend=self.config.mapping_backend,
         )
         #: Logical capacity, cached for the per-request span check (a
         #: power-loss rebuild keeps the configuration, hence the size).
@@ -195,49 +194,38 @@ class SimulatedSSD:
 
     def submit(self, request: IORequest) -> None:
         """Execute one (possibly multi-block) request from a trace."""
-        self.clock.advance_to(request.time)
-        self._maybe_power_loss()
-        if self._snapshots_on:
-            self.obs.maybe_snapshot(
-                self.clock.now, before=self.refresh_obs_metrics
-            )
-        if not self._observe_requests:
-            self._execute(request)
-            return
-        self._observed(request, lambda: self._execute(request))
+        self.submit_batch((request,))
 
     def submit_batch(self, requests) -> int:
         """Execute requests in order; returns how many were executed.
 
-        The batched front door for trace replay: per-request span/timing/
-        dict overhead is hoisted out of the loop, so on an uninstrumented
-        fault-free device only the clock advance and the operation itself
-        run per request.
+        Each request is span-checked before it touches the device — a
+        rejected request raises :class:`~repro.errors.AddressError` with
+        the clock, the power-loss schedule and all state untouched — then
+        the clock advances to its timestamp and it executes.
 
         Stops early — returning the count executed so far, which is then
         less than ``len(requests)`` — when a request flips the device
         read-only (alarm lockdown or write-path media degradation), so a
-        replay harness sees the lockdown at the same request boundary a
-        per-request ``submit()`` loop would and can recover/dismiss before
-        resubmitting the remainder.  Requests submitted while the device
-        is *already* read-only execute normally (reads served, writes
-        dropped), exactly like :meth:`submit`.
+        replay harness sees the lockdown at the request that caused it
+        and can recover/dismiss before resubmitting the remainder.
+        Requests submitted while the device is *already* read-only execute
+        normally (reads served, writes dropped).
         """
         executed = 0
         was_read_only = self.read_only
-        if not (self._observe_requests or self._snapshots_on
-                or self.fault_injector is not None):
-            advance = self.clock.advance_to
-            execute = self._execute
-            for request in requests:
-                advance(request.time)
-                execute(request)
-                executed += 1
-                if self.read_only and not was_read_only:
-                    break
-            return executed
         for request in requests:
-            self.submit(request)
+            self._check_span(request.lba, request.length)
+            self.clock.advance_to(request.time)
+            self._maybe_power_loss()
+            if self._snapshots_on:
+                self.obs.maybe_snapshot(
+                    self.clock.now, before=self.refresh_obs_metrics
+                )
+            if self._observe_requests:
+                self._observed(request, lambda: self._execute(request))
+            else:
+                self._execute(request)
             executed += 1
             if self.read_only and not was_read_only:
                 break
@@ -262,7 +250,6 @@ class SimulatedSSD:
         return result
 
     def _execute(self, request: IORequest) -> None:
-        self._check_span(request.lba, request.length)
         if self.detector is not None:
             self.detector.observe(request)
         if self.fr is not None:
@@ -426,7 +413,6 @@ class SimulatedSSD:
             retention=self.config.retention,
             queue_capacity=self.config.queue_capacity,
             obs=self.obs,
-            mapping_backend=self.config.mapping_backend,
         )
         if self.wear_leveler is not None:
             self.wear_leveler = self.ftl.attach_wear_leveling(

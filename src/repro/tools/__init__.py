@@ -14,9 +14,9 @@
 * ``python -m repro.tools.observe`` — replay any Table I catalog scenario
   through a fully instrumented device; export a Perfetto-compatible
   Chrome trace and a metrics summary.
-* ``python -m repro.tools.bench`` — hot-path benchmark: prove the
-  optimised detector bit-matches the naive reference on a golden
-  scenario, then replay a synthetic ransomware/background mix (with a
-  long idle gap) through the bare detector, the naive baseline, the
-  simulated device, and a full scenario; writes ``BENCH_hotpath.json``.
+* ``python -m repro.tools.bench`` — hot-path benchmark: replay a
+  synthetic ransomware/background mix (with a long idle gap) through the
+  bare detector and the simulated device, and time a full scenario;
+  writes ``BENCH_hotpath.json``.  The naive-reference equivalence oracles
+  live in ``tests/oracles/`` and run with the test suite.
 """

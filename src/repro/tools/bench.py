@@ -13,14 +13,13 @@ repo.  This harness measures it three ways:
 * **scenario** — a full Table-I-style catalog scenario (workload
   generators, stream merging, device, alarm) end to end.
 
-Before timing anything it proves the optimised pipeline bit-matches the
-naive reference implementations (:mod:`repro.core.reference`) on a golden
-scenario, and it replays the synthetic trace through the naive detector to
-report the measured speedup.  Results land in ``BENCH_hotpath.json``::
+It times the production code only; that the optimised detector
+bit-matches the naive reference (``tests/oracles/reference.py``) is
+enforced by the test suite (``tests/test_hotpath_equivalence.py``), not
+here.  Results land in ``BENCH_hotpath.json``::
 
     python -m repro.tools.bench --smoke          # CI-sized, no timing claims
     python -m repro.tools.bench                  # full 1M-request run
-    python -m repro.tools.bench --no-baseline    # skip the slow naive replay
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from typing import Dict, List, Optional
 from repro.blockdev.request import IOMode, IORequest
 from repro.core.config import DetectorConfig
 from repro.core.detector import RansomwareDetector
-from repro.core.reference import ReferenceDetector
 
 #: Synthetic-mix layout (fractions of the request budget).
 BACKGROUND_BEFORE = 0.55
@@ -179,14 +177,10 @@ def _latency_fields(samples_ns: List[int], warmup: int) -> Dict[str, object]:
 def bench_detector_path(
     requests: List[IORequest],
     config: DetectorConfig,
-    naive: bool = False,
     warmup: int = DEFAULT_WARMUP,
 ) -> Dict[str, object]:
-    """Replay through the (fast or naive) detector, timing every request."""
-    if naive:
-        detector = ReferenceDetector(config=config)
-    else:
-        detector = RansomwareDetector(config=config, keep_history=False)
+    """Replay through the bare detector, timing every request."""
+    detector = RansomwareDetector(config=config, keep_history=False)
     observe = detector.observe
     clock = time.perf_counter_ns
     samples: List[int] = []
@@ -200,28 +194,22 @@ def bench_detector_path(
         detector.tick(requests[-1].time + config.slice_duration)
     elapsed = time.perf_counter() - started
     slices_closed = detector._current.index
-    result: Dict[str, object] = {
-        "implementation": "naive-reference" if naive else "optimised",
+    return {
         "requests": len(requests),
         "elapsed_s": round(elapsed, 4),
         "requests_per_sec": round(len(requests) / elapsed, 1) if elapsed else 0.0,
         "slices_closed": slices_closed,
         "slices_per_sec": round(slices_closed / elapsed, 1) if elapsed else 0.0,
         "alarm": detector.alarm_raised,
+        "fast_forwarded_slices": detector.fast_forwarded_slices,
+        "evaluated_slices": slices_closed - detector.fast_forwarded_slices,
         **_latency_fields(samples, warmup),
     }
-    if not naive:
-        result["fast_forwarded_slices"] = detector.fast_forwarded_slices
-        result["evaluated_slices"] = (
-            slices_closed - detector.fast_forwarded_slices
-        )
-    return result
 
 
 def bench_device_path(
     requests: List[IORequest], config: DetectorConfig,
     warmup: int = DEFAULT_WARMUP,
-    batch_size: Optional[int] = None,
 ) -> Dict[str, object]:
     """Replay through the full simulated device (detector + FTL + NAND).
 
@@ -229,15 +217,6 @@ def bench_device_path(
     simulated LBA space concentrates overwrites enough to trip the
     detector, and a locked (read-only) device would silently drop writes —
     turning the rest of the replay into a no-op and inflating throughput.
-
-    With ``batch_size`` set, requests go through
-    :meth:`SimulatedSSD.submit_batch` in that chunk size — the amortized
-    fast lane the replay harnesses use.  Each request's latency sample is
-    then the batch's wall time divided by the requests it executed (the
-    per-request timer would otherwise *be* the overhead the batch path
-    amortizes away); ``submit_batch`` stops at the read-only transition,
-    so alarms are still dismissed at the same request boundary as the
-    per-request loop.
     """
     from repro.ssd.config import SSDConfig
     from repro.ssd.device import SimulatedSSD
@@ -256,37 +235,20 @@ def bench_device_path(
                   source=request.source)
         for request in requests
     ]
+    submit = ssd.submit
     started = time.perf_counter()
-    if batch_size is not None:
-        submit_batch = ssd.submit_batch
-        total = len(remapped_all)
-        index = 0
-        while index < total:
-            chunk = remapped_all[index:index + batch_size]
-            t0 = clock()
-            executed = submit_batch(chunk)
-            batch_ns = clock() - t0
-            per_request = batch_ns // max(1, executed)
-            samples.extend([per_request] * executed)
-            index += executed
-            if ssd.read_only:
-                alarms += 1
-                ssd.dismiss_alarm()
-    else:
-        submit = ssd.submit
-        for remapped in remapped_all:
-            t0 = clock()
-            submit(remapped)
-            append(clock() - t0)
-            if ssd.read_only:
-                alarms += 1
-                ssd.dismiss_alarm()
+    for remapped in remapped_all:
+        t0 = clock()
+        submit(remapped)
+        append(clock() - t0)
+        if ssd.read_only:
+            alarms += 1
+            ssd.dismiss_alarm()
     elapsed = time.perf_counter() - started
     detector = ssd.detector
     slices_closed = detector._current.index if detector is not None else 0
     return {
         "requests": len(requests),
-        "batch_size": batch_size,
         "elapsed_s": round(elapsed, 4),
         "requests_per_sec": round(len(requests) / elapsed, 1) if elapsed else 0.0,
         "slices_closed": slices_closed,
@@ -339,52 +301,6 @@ def bench_scenario_path(
     }
 
 
-# -- equivalence gate --------------------------------------------------------
-
-def check_equivalence(config: DetectorConfig, seed: int = GOLDEN_SEED) -> Dict[str, object]:
-    """Golden-trace gate: optimised and naive event streams must bit-match.
-
-    Raises AssertionError on any divergence — a benchmark of a wrong
-    implementation is worse than no benchmark.
-    """
-    from repro.workloads.scenario import Scenario
-
-    scenario = Scenario("golden-cloudstorage-wannacry", ransomware="wannacry",
-                        app="cloudstorage", category="heavy_overwrite",
-                        duration=60.0)
-    run = scenario.build(seed=seed)
-    fast = RansomwareDetector(config=config, keep_history=True)
-    naive = ReferenceDetector(config=config)
-    for request in run.trace:
-        fast.observe(request)
-        naive.observe(request)
-    end = run.trace.end_time + config.slice_duration
-    fast.tick(end)
-    naive.tick(end)
-    assert len(fast.events) == len(naive.events), (
-        f"event counts diverge: {len(fast.events)} != {len(naive.events)}"
-    )
-    for ours, ref in zip(fast.events, naive.events):
-        assert (ours.slice_index, ours.features, ours.verdict, ours.score,
-                ours.alarm) == (ref.slice_index, ref.features, ref.verdict,
-                                ref.score, ref.alarm), (
-            f"slice {ref.slice_index} diverged: {ours} != {ref}"
-        )
-    fast_alarm = fast.alarm_event.slice_index if fast.alarm_event else None
-    naive_alarm = naive.alarm_event.slice_index if naive.alarm_event else None
-    assert fast_alarm == naive_alarm, (
-        f"alarm slice diverged: {fast_alarm} != {naive_alarm}"
-    )
-    return {
-        "checked": True,
-        "identical": True,
-        "golden_scenario": scenario.name,
-        "seed": seed,
-        "events_compared": len(fast.events),
-        "alarm_slice": fast_alarm,
-    }
-
-
 # -- provenance --------------------------------------------------------------
 
 def report_meta(config: Dict[str, object]) -> Dict[str, object]:
@@ -433,23 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--warmup", type=int, default=DEFAULT_WARMUP,
                         help="requests excluded from the steady-state "
                              "percentiles (default: %(default)s)")
-    parser.add_argument("--batch-size", type=int, default=None,
-                        metavar="N",
-                        help="submit the device path through "
-                             "SimulatedSSD.submit_batch in N-request chunks "
-                             "(default: per-request submit)")
     parser.add_argument("--profile", metavar="FILE", default=None,
                         help="also run the device mix under the layer "
                              "profiler and write the ssd-insider.profile/v2 "
                              "report to FILE")
     parser.add_argument("--paths", default="detector,device,scenario",
                         help="comma list from {detector,device,scenario}")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="skip the naive-reference replay (it is slow)")
-    parser.add_argument("--no-check", action="store_true",
-                        help="skip the golden-trace equivalence gate")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI mode: tiny trace, still checks equivalence")
+                        help="CI mode: tiny trace, no timing claims")
     parser.add_argument("--out", default="results/BENCH_hotpath.json",
                         help="output JSON path")
     parser.add_argument("--archive-dir", metavar="DIR", default=None,
@@ -509,17 +416,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             "window_slices": config.window_slices,
             "threshold": config.threshold,
             "warmup_requests": args.warmup,
-            "batch_size": args.batch_size,
         },
         "paths": {},
     }
     report["meta"] = report_meta(report["config"])
-
-    if not args.no_check:
-        print("equivalence gate: replaying golden scenario ...", flush=True)
-        report["equivalence"] = check_equivalence(config)
-        print(f"  identical over "
-              f"{report['equivalence']['events_compared']} slices", flush=True)
 
     mix = None
     if "detector" in paths or "device" in paths:
@@ -534,25 +434,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  {detector_result['requests_per_sec']:,.0f} req/s, "
               f"{detector_result['fast_forwarded_slices']} slices "
               f"fast-forwarded", flush=True)
-        if not args.no_baseline:
-            print("naive baseline (this is the slow part) ...", flush=True)
-            baseline = bench_detector_path(mix, config, naive=True,
-                                           warmup=args.warmup)
-            fast_s = detector_result["elapsed_s"]
-            baseline["speedup_vs_naive"] = (
-                round(baseline["elapsed_s"] / fast_s, 2) if fast_s else None
-            )
-            report["paths"]["detector_naive_baseline"] = baseline
-            print(f"  naive: {baseline['requests_per_sec']:,.0f} req/s "
-                  f"-> speedup {baseline['speedup_vs_naive']}x", flush=True)
 
     if "device" in paths:
         print("device path ...", flush=True)
         device_mix = synthesize_mix(args.device_requests, args.gap, args.seed,
                                     include_ransomware=False)
         report["paths"]["device"] = bench_device_path(
-            device_mix, config, warmup=args.warmup,
-            batch_size=args.batch_size)
+            device_mix, config, warmup=args.warmup)
         print(f"  {report['paths']['device']['requests_per_sec']:,.0f} req/s",
               flush=True)
 

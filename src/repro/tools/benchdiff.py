@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.report import render_table
 
 #: Metric-name suffixes where a larger value is an improvement.
-HIGHER_BETTER = ("requests_per_sec", "slices_per_sec", "speedup_vs_naive")
+HIGHER_BETTER = ("requests_per_sec", "slices_per_sec")
 
 #: Metric-name suffixes where a smaller value is an improvement.
 LOWER_BETTER = ("elapsed_s", "build_s", "p50_us", "p90_us", "p99_us",
@@ -53,7 +53,6 @@ TRAJECTORY_METRICS = (
     "detector.requests_per_sec",
     "detector.per_request.p99_us",
     "detector.per_request_steady.p99_us",
-    "detector_naive_baseline.speedup_vs_naive",
     "device.requests_per_sec",
     "device.per_request_steady.requests_per_sec",
     "device_profile.queue_update_pct_of_wall",

@@ -106,9 +106,7 @@ def profile_requests(
     >= 95% coverage invariant holds by construction rather than by luck).
 
     Requests are fed through :meth:`SimulatedSSD.submit_batch` in
-    ``batch_size`` chunks — the device-path fast lane — so the profile
-    measures the amortized submission path the replay harnesses actually
-    run, not a per-request loop nothing else uses.
+    ``batch_size`` chunks, the way the fleet worker replays them.
 
     The cyclic garbage collector is paused for the measured regions
     (standard benchmark hygiene): its stop-the-world pauses land inside
@@ -154,7 +152,6 @@ def profile_requests(
         "device": {
             "num_lbas": num_lbas,
             "queue_capacity": device.ftl.queue.capacity,
-            "mapping_backend": device.config.mapping_backend,
             "gc_policy": device.ftl.gc_policy.as_dict(),
         },
         "alarms_dismissed": alarms,

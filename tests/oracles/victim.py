@@ -1,0 +1,61 @@
+"""The brute-force GC victim scan: oracle for the incremental victim index.
+
+:func:`select_victim` walks every block, and every page of every
+candidate block to count recovery-queue pins — O(blocks x pages) per call.
+:class:`~repro.ftl.victim_index.VictimIndex` must pick exactly the block
+this scan picks, for every policy; both score through the shared
+:func:`~repro.ftl.victim.score_block`, so their arithmetic is
+bit-identical by construction.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Optional
+
+from repro.ftl.victim import VictimPolicy, block_newest, score_block
+from repro.nand.array import NandArray
+from repro.nand.block import PageState
+
+
+def select_victim(
+    nand: NandArray,
+    is_candidate: Callable[[int], bool],
+    is_pinned: Callable[[int], bool],
+    policy: VictimPolicy = VictimPolicy.GREEDY,
+    now: float = 0.0,
+) -> Optional[int]:
+    """Pick the next victim under ``policy``; None when nothing helps."""
+    best_block: Optional[int] = None
+    best_score = 0.0
+    pages = nand.geometry.pages_per_block
+    for global_block in range(nand.num_blocks):
+        if not is_candidate(global_block):
+            continue
+        block = nand.block(global_block)
+        if not block.is_full or block.invalid_count == 0:
+            continue
+        reclaimable = block.invalid_count - _count_pinned(
+            nand, global_block, is_pinned
+        )
+        if reclaimable <= 0:
+            continue
+        score = score_block(
+            policy, reclaimable, pages, block.erase_count,
+            block_newest(block), now,
+        )
+        if score > best_score:
+            best_score = score
+            best_block = global_block
+    return best_block
+
+
+def _count_pinned(
+    nand: NandArray, global_block: int, is_pinned: Callable[[int], bool]
+) -> int:
+    block = nand.block(global_block)
+    count = 0
+    for ppa in nand.block_ppa_range(global_block):
+        page = block.pages[ppa % nand.geometry.pages_per_block]
+        if page.state is PageState.INVALID and is_pinned(ppa):
+            count += 1
+    return count

@@ -4,13 +4,17 @@ import dataclasses
 
 import pytest
 
-from repro.blockdev.request import read as read_req, write as write_req
+from repro.blockdev.request import IORequest, read as read_req, write as write_req
 from repro.core.detector import RansomwareDetector
 from repro.core.id3 import DecisionTree, TreeNode
 from repro.errors import AddressError, DeviceReadOnlyError, RecoveryError
+from repro.faults.config import FaultConfig
 from repro.nand.block import PageState
+from repro.obs import Observability
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SimulatedSSD
+from repro.tools.bench import GOLDEN_SEED
+from repro.tools.profile import golden_scenario
 from repro.units import BLOCK_SIZE
 
 
@@ -172,23 +176,31 @@ class TestOutOfRangeRejected:
             "ftl_stats": dataclasses.replace(ssd.ftl.stats),
             "device_stats": dataclasses.replace(ssd.stats),
             "mapping": list(ssd.ftl.mapping.items()),
+            "clock": ssd.clock.now,
+            "power_losses": ssd.stats.power_losses,
         }
 
     def test_rejected_before_any_state_changes(self):
-        ssd = SimulatedSSD(SSDConfig.small())
+        # The second device has a power loss scheduled: a rejected request
+        # stamped past it must not fire it.
+        for faults in (None, FaultConfig(power_loss_at=100.0)):
+            self.check_rejections_leave_no_trace(
+                SimulatedSSD(SSDConfig.small(faults=faults)))
+
+    def check_rejections_leave_no_trace(self, ssd):
         end = ssd.num_lbas
         for lba in range(8):
             ssd.write(lba, now=0.5)
         ssd.write(3, now=1.0)  # an overwrite: queue holds a backup
         before = self.snapshot(ssd)
         rejected = [
-            lambda: ssd.write(end, now=1.5),
-            lambda: ssd.write(-1, now=1.5),
-            lambda: ssd.read(end, now=1.5),
-            lambda: ssd.trim(end, now=1.5),
-            lambda: ssd.submit(write_req(1.5, end - 2, length=4)),
-            lambda: ssd.submit_batch([write_req(1.5, end - 1, length=2)]),
-            lambda: ssd.submit(read_req(1.5, end, length=1)),
+            lambda: ssd.write(end, now=500.0),
+            lambda: ssd.write(-1, now=500.0),
+            lambda: ssd.read(end, now=500.0),
+            lambda: ssd.trim(end, now=500.0),
+            lambda: ssd.submit(write_req(500.0, end - 2, length=4)),
+            lambda: ssd.submit_batch([write_req(900.0, end - 1, length=2)]),
+            lambda: ssd.submit(read_req(500.0, end, length=1)),
         ]
         for call in rejected:
             with pytest.raises(AddressError):
@@ -196,8 +208,87 @@ class TestOutOfRangeRejected:
         assert self.snapshot(ssd) == before
         valid = ssd.nand.count_pages(PageState.VALID)
         assert valid == ssd.ftl.mapping.mapped_count() == 8
+        # The next valid write is logged at its own time, not at the
+        # rejected requests' (the retention window rollback relies on).
+        ssd.submit(write_req(2.0, 3))
+        assert list(ssd.ftl.queue)[-1].timestamp == 2.0
 
     def test_last_block_still_writable(self):
         ssd = SimulatedSSD(SSDConfig.small())
         ssd.submit(write_req(0.5, ssd.num_lbas - 2, length=2))
         assert ssd.ftl.mapping.mapped_count() == 2
+
+
+class TestOneFrontDoor:
+    """``submit(r)`` is ``submit_batch((r,))``: a per-request loop and
+    batched submission must leave identical devices behind."""
+
+    DURATION = 15.0
+    DEVICES = {
+        "plain": lambda: SimulatedSSD(SSDConfig.small()),
+        "observed": lambda: SimulatedSSD(SSDConfig.small(),
+                                         obs=Observability.on()),
+        "faulty": lambda: SimulatedSSD(SSDConfig.small(faults=FaultConfig(
+            seed=5, program_fail_rate=0.001, read_fault_rate=0.001,
+            power_loss_at=7.0))),
+    }
+
+    @pytest.fixture(scope="class")
+    def golden_trace(self):
+        run = golden_scenario(duration=self.DURATION).build(seed=GOLDEN_SEED)
+        num_lbas = SimulatedSSD(SSDConfig.small()).num_lbas
+        return [
+            IORequest(time=r.time, lba=r.lba % max(1, num_lbas - r.length),
+                      mode=r.mode, length=r.length, source=r.source)
+            for r in run.trace
+        ]
+
+    @staticmethod
+    def answer(ssd):
+        """Recover-on-alarm; a media lockdown (no alarm) is dismissed."""
+        if ssd.alarm_raised:
+            ssd.recover()
+        else:
+            ssd.dismiss_alarm()
+
+    @staticmethod
+    def outcome(ssd):
+        return {
+            "events": list(ssd.detector.events),
+            "rollbacks": list(ssd.rollback_reports),
+            "ftl_stats": dataclasses.replace(ssd.ftl.stats),
+            "device_stats": dataclasses.replace(ssd.stats),
+        }
+
+    @pytest.mark.parametrize("kind", sorted(DEVICES))
+    def test_batch_matches_per_request_loop(self, kind, golden_trace):
+        looped = self.DEVICES[kind]()
+        loop_lockdowns = []
+        for index, request in enumerate(golden_trace):
+            looped.submit(request)
+            if looped.read_only:
+                loop_lockdowns.append(index)
+                self.answer(looped)
+
+        batched = self.DEVICES[kind]()
+        batch_lockdowns = []
+        index = 0
+        while index < len(golden_trace):
+            remaining = golden_trace[index:]
+            executed = batched.submit_batch(remaining)
+            index += executed
+            if batched.read_only:
+                # Stopped right after the request that locked the device.
+                assert executed < len(remaining) or index == len(golden_trace)
+                batch_lockdowns.append(index - 1)
+                self.answer(batched)
+            else:
+                assert executed == len(remaining)
+
+        assert loop_lockdowns, "golden replay never locked down"
+        assert batch_lockdowns == loop_lockdowns
+        assert self.outcome(batched) == self.outcome(looped)
+        assert looped.rollback_reports, "no alarm was recovered from"
+        if looped.fault_injector is not None:
+            assert looped.stats.power_losses == 1
+

@@ -5,7 +5,7 @@ The acceptance bar for the fault subsystem: fault injection defaults
 sees request headers only, so a fault-enabled run (short of a power loss,
 which reboots the firmware) produces a bit-identical DetectionEvent
 stream.  The golden scenario here is the same one the hot-path
-equivalence suite replays against :mod:`repro.core.reference`.
+equivalence suite replays against :mod:`tests.oracles.reference`.
 """
 
 import pytest

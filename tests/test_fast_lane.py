@@ -5,9 +5,9 @@
   two-call form, across expiry and capacity eviction.
 * :meth:`PageMappedFTL.write_span` is one FTL call per host write
   request; it must leave the same FTL state behind as the per-block
-  ``write()`` loop, on both mapping backends, profiler armed or not — and
-  stop at exactly the same block when the span runs off the logical
-  space.
+  ``write()`` loop, on the flat table and its dict oracle, profiler
+  armed or not — and stop at exactly the same block when the span runs
+  off the logical space.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from contextlib import nullcontext
 
 import pytest
 
+import repro.ftl.base
 from repro.errors import AddressError, ConfigError
 from repro.ftl.insider import InsiderFTL
 from repro.ftl.recovery_queue import BackupEntry, RecoveryQueue
@@ -24,6 +25,7 @@ from repro.nand.array import NandArray
 from repro.nand.block import PageState
 from repro.nand.geometry import NandGeometry
 from repro.obs.prof import LayerProfiler
+from tests.oracles.mapping import DictMappingTable
 
 
 # -- helpers ------------------------------------------------------------------
@@ -137,14 +139,13 @@ class TestFusedLogEquivalence:
 
 # -- write_span() -------------------------------------------------------------
 
-def make_pair(capacity=8, mapping_backend="flat"):
+def make_pair(capacity=8):
     """Two identical Insider FTLs: one for write_span, one for the loop."""
     def build():
         nand = NandArray(NandGeometry(channels=1, ways=1, blocks_per_chip=12,
                                       pages_per_block=8))
         return InsiderFTL(nand, op_ratio=0.45, retention=5.0,
-                          queue_capacity=capacity,
-                          mapping_backend=mapping_backend)
+                          queue_capacity=capacity)
 
     return build(), build()
 
@@ -162,10 +163,15 @@ def assert_ftl_state_equal(span_ftl, loop_ftl):
 class TestWriteSpanEquivalence:
     @pytest.mark.parametrize("profiled", [True, False])
     @pytest.mark.parametrize("mapping_backend", ["flat", "dict"])
-    def test_state_matches_per_block_loop(self, profiled, mapping_backend):
+    def test_state_matches_per_block_loop(self, profiled, mapping_backend,
+                                          monkeypatch):
         """The span writer (optionally under an armed profiler) leaves
-        the same state as a plain per-block loop."""
-        span_ftl, loop_ftl = make_pair(mapping_backend=mapping_backend)
+        the same state as a plain per-block loop, on the production
+        table and on the dict oracle swapped in for it."""
+        if mapping_backend == "dict":
+            monkeypatch.setattr(repro.ftl.base, "MappingTable",
+                                DictMappingTable)
+        span_ftl, loop_ftl = make_pair()
         rng = random.Random(42)
         num_lbas = span_ftl.mapping.num_lbas
         spans = []

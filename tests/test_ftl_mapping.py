@@ -1,19 +1,18 @@
-"""Mapping table semantics — both backends through the same contract."""
+"""Mapping table semantics — the flat table and its dict oracle, one contract."""
 
 import pytest
 
 from repro.errors import AddressError
-from repro.ftl.mapping import (
-    MAPPING_BACKENDS,
-    DictMappingTable,
-    MappingTable,
-    create_mapping_table,
-)
+from repro.ftl.mapping import MappingTable
+from tests.oracles.mapping import DictMappingTable
+
+#: Both implementations of the translation contract, by short name.
+TABLES = {"dict": DictMappingTable, "flat": MappingTable}
 
 
-@pytest.fixture(params=sorted(MAPPING_BACKENDS))
+@pytest.fixture(params=sorted(TABLES))
 def table(request):
-    return create_mapping_table(request.param, num_lbas=16)
+    return TABLES[request.param](num_lbas=16)
 
 
 class TestMappingTable:
@@ -68,9 +67,9 @@ class TestMappingTable:
 
 
 class TestReverseMap:
-    @pytest.fixture(params=sorted(MAPPING_BACKENDS))
+    @pytest.fixture(params=sorted(TABLES))
     def reversed_table(self, request):
-        return create_mapping_table(request.param, num_lbas=16, num_ppas=64)
+        return TABLES[request.param](num_lbas=16, num_ppas=64)
 
     def test_lba_of_tracks_updates(self, reversed_table):
         reversed_table.update(3, 40)
@@ -94,12 +93,3 @@ class TestReverseMap:
         assert table.lba_of(40) == 5
         assert table.lba_of(41) is None
 
-
-class TestFactory:
-    def test_backend_names_stamped(self):
-        assert create_mapping_table("flat", 8).backend == "flat"
-        assert create_mapping_table("dict", 8).backend == "dict"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(AddressError, match="unknown mapping backend"):
-            create_mapping_table("btree", 8)

@@ -3,7 +3,7 @@
 The counting-table rewrite (expiry buckets, free-list store, running WL
 total), the incremental window aggregates, and the detector's idle
 fast-forward must be *invisible*: on identical traces the optimised
-detector and the obviously-correct :mod:`repro.core.reference` oracle must
+detector and the obviously-correct :mod:`tests.oracles.reference` oracle must
 produce bit-identical DetectionEvent streams — features, verdicts, scores,
 and the alarm slice.
 """
@@ -18,13 +18,13 @@ from repro.blockdev.request import read, write
 from repro.core.config import DetectorConfig
 from repro.core.counting_table import CountingTable
 from repro.core.detector import RansomwareDetector
-from repro.core.reference import (
+from repro.core.window import SliceStats, SlidingWindow
+from repro.workloads.scenario import Scenario
+from tests.oracles.reference import (
     NaiveCountingTable,
     NaiveSlidingWindow,
     ReferenceDetector,
 )
-from repro.core.window import SliceStats, SlidingWindow
-from repro.workloads.scenario import Scenario
 
 #: The golden Table-I-style combination: unknown ransomware over an
 #: IO-heavy background app, the hardest mix for feature stability.

@@ -1,8 +1,10 @@
-"""Mapping-backend equivalence oracle: flat-array vs dict, end to end.
+"""Mapping-table equivalence oracle: flat-array vs dict, end to end.
 
-The flat-array translation backend is a pure representation change — the
-dict backend stays as the reference implementation, and this soak proves
-the two are indistinguishable through the full device: a seeded mixed
+The flat-array translation table is a pure representation change — the
+sparse dict table (``tests/oracles/mapping.py``) is the reference
+implementation, swapped in for the production table by monkeypatching
+``repro.ftl.base.MappingTable``, and this soak proves the two are
+indistinguishable through the full device: a seeded mixed
 write/read/trim stream under every GC victim policy, with enough churn
 to force relocation of valid *and* pinned pages, a mid-soak power-loss
 rebuild, and (in the fault variant) program/erase failures retiring
@@ -11,16 +13,23 @@ DetectionEvent streams must match bit for bit.
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
+import repro.ftl.base
 from repro.blockdev.request import IOMode, IORequest
 from repro.faults.config import FaultConfig
 from repro.ftl.gc import GcPolicy
+from repro.ftl.mapping import MappingTable
 from repro.ftl.victim import VictimPolicy
 from repro.nand.geometry import NandGeometry
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SimulatedSSD
+from tests.oracles.mapping import DictMappingTable
+
+#: The table class each backend name puts behind every FTL it builds.
+BACKENDS = {"flat": MappingTable, "dict": DictMappingTable}
 
 SOAK_STEPS = 1200
 POWER_CYCLE_AT = 800  # step index of the mid-soak power loss
@@ -44,7 +53,20 @@ def op_stream(seed, num_lbas, steps=SOAK_STEPS):
     return ops
 
 
+@contextmanager
+def mapping_backend(backend):
+    """Build every FTL (power-cycle rebuilds included) on ``backend``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.ftl.base, "MappingTable", BACKENDS[backend])
+        yield
+
+
 def soak(backend, policy, ops, faults=None):
+    with mapping_backend(backend):
+        return _soak(policy, ops, faults)
+
+
+def _soak(policy, ops, faults):
     """Drive one device through the op list; returns its observable state."""
     # Short retention plus a few extra blocks of slack: the soak
     # compresses ~13 simulated seconds of heavy churn onto a 3-MiB
@@ -54,7 +76,6 @@ def soak(backend, policy, ops, faults=None):
         geometry=NandGeometry(channels=1, ways=1, blocks_per_chip=24,
                               pages_per_block=32),
         op_ratio=0.45,
-        mapping_backend=backend,
         gc_policy=GcPolicy(victim_policy=policy),
         retention=1.0,
         faults=faults,
@@ -119,18 +140,19 @@ def test_backends_identical_under_media_faults():
 
 
 def test_power_cycle_rebuilds_each_backend():
-    """The rebuilt FTL keeps the configured backend (and the rebuilt
+    """The rebuilt FTL keeps the swapped-in table class (and the rebuilt
     state still matches across backends — covered above; this pins the
-    backend class surviving the rebuild)."""
+    table class surviving the rebuild)."""
     ops = op_stream(seed=3, num_lbas=112, steps=120)
-    for backend in ("flat", "dict"):
-        config = SSDConfig.tiny(mapping_backend=backend)
-        device = SimulatedSSD(config=config)
-        for kind, t, lba, length in ops:
-            if kind == "write":
-                device.submit(IORequest(time=t, lba=lba, mode=IOMode.WRITE,
-                                        length=length))
-        before = dict(device.ftl.mapping.items())
-        device.power_cycle()
-        assert device.ftl.mapping.backend == backend
-        assert dict(device.ftl.mapping.items()) == before
+    for backend, table_class in BACKENDS.items():
+        with mapping_backend(backend):
+            device = SimulatedSSD(config=SSDConfig.tiny())
+            for kind, t, lba, length in ops:
+                if kind == "write":
+                    device.submit(IORequest(time=t, lba=lba,
+                                            mode=IOMode.WRITE,
+                                            length=length))
+            before = dict(device.ftl.mapping.items())
+            device.power_cycle()
+            assert type(device.ftl.mapping) is table_class
+            assert dict(device.ftl.mapping.items()) == before

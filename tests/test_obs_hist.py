@@ -202,19 +202,11 @@ class TestRegistryMerge:
         right.counter("only_right_total").inc()
         assert left.get("only_right_total").value() == 3
 
-    def test_fixed_histograms_merge_bucketwise(self):
-        left = MetricsRegistry()
-        right = MetricsRegistry()
-        left.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        right.histogram("h", buckets=(1.0, 2.0)).observe(1.5)
-        left.merge(right)
-        assert left.get("h").count() == 2
-
     def test_mismatched_histogram_buckets_rejected(self):
         left = MetricsRegistry()
         right = MetricsRegistry()
-        left.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        right.histogram("h", buckets=(1.0, 3.0)).observe(0.5)
+        left.loghistogram("h", subbuckets=32).observe(0.5)
+        right.loghistogram("h", subbuckets=16).observe(0.5)
         with pytest.raises(ObservabilityError):
             left.merge(right)
 
@@ -229,6 +221,15 @@ class TestRegistryMerge:
     def test_compact_wrong_schema_rejected(self):
         with pytest.raises(ObservabilityError):
             MetricsRegistry.from_compact({"schema": "nope"})
+        # The fixed-bucket "histogram" kind is gone; a payload naming it
+        # is an unknown kind, not a silently dropped family.
+        payload = MetricsRegistry().to_compact()
+        payload["families"] = [{
+            "name": "h", "kind": "histogram", "labelnames": [],
+            "buckets": [1.0, 2.0], "series": [],
+        }]
+        with pytest.raises(ObservabilityError, match="unknown metric kind"):
+            MetricsRegistry.from_compact(payload)
 
 
 class TestSnapshots:

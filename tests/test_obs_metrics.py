@@ -1,4 +1,4 @@
-"""The metrics registry: counter/gauge/histogram semantics and renderers."""
+"""The metrics registry: counter/gauge semantics and renderers."""
 
 import dataclasses
 import json
@@ -7,13 +7,7 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.ftl.stats import FtlStats
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 
 
 class TestCounter:
@@ -68,39 +62,6 @@ class TestGauge:
         assert gauge.value() == -4
 
 
-class TestHistogram:
-    def test_observations_land_in_correct_buckets(self):
-        hist = Histogram("lat_seconds", buckets=(0.1, 1.0, 10.0))
-        for value in (0.05, 0.5, 5.0, 50.0):
-            hist.observe(value)
-        assert hist.count() == 4
-        assert hist.sum() == pytest.approx(55.55)
-        series = hist.as_dict()["series"][0]
-        counts = {b["le"]: b["count"] for b in series["buckets"]}
-        # Cumulative (Prometheus "le") semantics, +Inf catches the rest.
-        assert counts["0.1"] == 1
-        assert counts["1"] == 2
-        assert counts["10"] == 3
-        assert counts["+Inf"] == 4
-
-    def test_boundary_value_falls_in_lower_bucket(self):
-        hist = Histogram("x", buckets=(1.0, 2.0))
-        hist.observe(1.0)
-        series = hist.as_dict()["series"][0]
-        assert series["buckets"][0]["count"] == 1
-
-    def test_bad_buckets_rejected(self):
-        with pytest.raises(ObservabilityError):
-            Histogram("x", buckets=())
-        with pytest.raises(ObservabilityError):
-            Histogram("x", buckets=(2.0, 1.0))
-
-    def test_default_latency_buckets_strictly_increasing(self):
-        assert list(DEFAULT_LATENCY_BUCKETS) == sorted(
-            set(DEFAULT_LATENCY_BUCKETS)
-        )
-
-
 class TestRegistry:
     def test_idempotent_registration_shares_series(self):
         registry = MetricsRegistry()
@@ -143,7 +104,7 @@ class TestRegistry:
 
     def test_json_rendering_round_trips(self):
         registry = MetricsRegistry()
-        registry.histogram("lat_seconds", buckets=(0.5, 1.5)).observe(1.0)
+        registry.loghistogram("lat_seconds").observe(1.0)
         registry.counter("n_total").inc()
         document = json.loads(registry.render_json())
         families = {f["name"]: f for f in document["families"]}
@@ -151,7 +112,7 @@ class TestRegistry:
         hist = families["lat_seconds"]["series"][0]
         assert hist["count"] == 1
         assert hist["sum"] == pytest.approx(1.0)
-        assert hist["buckets"][-1]["le"] == "+Inf"
+        assert hist["max"] == pytest.approx(1.0)
 
     def test_registry_iteration_is_name_sorted(self):
         registry = MetricsRegistry()

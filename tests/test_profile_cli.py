@@ -76,8 +76,7 @@ class TestProfileCli:
 class TestBenchWarmup:
     def test_smoke_report_has_steady_percentiles(self, tmp_path, capsys):
         out = tmp_path / "BENCH_smoke.json"
-        code = bench.main(["--smoke", "--no-baseline", "--no-check",
-                           "--paths", "detector", "--requests", "4000",
+        code = bench.main(["--smoke", "--paths", "detector", "--requests", "4000",
                            "--out", str(out)])
         capsys.readouterr()
         assert code == 0
@@ -90,8 +89,7 @@ class TestBenchWarmup:
 
     def test_warmup_larger_than_sample_is_clamped(self, tmp_path, capsys):
         out = tmp_path / "BENCH_tiny.json"
-        code = bench.main(["--no-baseline", "--no-check",
-                           "--paths", "detector", "--requests", "1000",
+        code = bench.main(["--paths", "detector", "--requests", "1000",
                            "--warmup", "999999", "--out", str(out)])
         capsys.readouterr()
         assert code == 0
@@ -103,8 +101,7 @@ class TestBenchWarmup:
     def test_bench_profile_flag(self, tmp_path, capsys):
         out = tmp_path / "BENCH_prof.json"
         prof_out = tmp_path / "profile.json"
-        code = bench.main(["--smoke", "--no-baseline", "--no-check",
-                           "--paths", "device", "--device-requests", "2000",
+        code = bench.main(["--smoke", "--paths", "device", "--device-requests", "2000",
                            "--out", str(out), "--profile", str(prof_out)])
         capsys.readouterr()
         assert code == 0

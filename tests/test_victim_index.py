@@ -5,7 +5,7 @@ page of every block, for pin counting) with counters maintained at the
 events that change them.  Its contract is *bit-identical* victim choice:
 for any reachable device state and any policy, ``VictimIndex.select``
 must return exactly what the O(blocks × pages) scan in
-:func:`repro.ftl.victim.select_victim` returns — same block, same
+:func:`tests.oracles.victim.select_victim` returns — same block, same
 tie-breaks, same float scores.  These tests enforce that contract with
 seeded random interleavings of every event kind the index listens to
 (write, invalidate, trim, pin, expiry, capacity eviction, rollback
@@ -25,10 +25,11 @@ from repro.faults.injector import FaultInjector
 from repro.ftl.conventional import ConventionalFTL
 from repro.ftl.gc import GcPolicy
 from repro.ftl.insider import InsiderFTL
-from repro.ftl.victim import VictimPolicy, select_victim
+from repro.ftl.victim import VictimPolicy
 from repro.ftl.victim_index import VictimIndex
 from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
+from tests.oracles.victim import select_victim
 
 GEOMETRY = NandGeometry(channels=1, ways=2, blocks_per_chip=16,
                         pages_per_block=8)

@@ -4,9 +4,10 @@ import pytest
 
 from repro.ftl.conventional import ConventionalFTL
 from repro.ftl.gc import GcPolicy
-from repro.ftl.victim import VictimPolicy, select_victim
+from repro.ftl.victim import VictimPolicy
 from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
+from tests.oracles.victim import select_victim
 
 
 def array_with_blocks() -> NandArray:
