@@ -38,10 +38,13 @@ class ProgramFailError(NandError):
     to another block and retire the failing one.
     """
 
-    def __init__(self, message: str, ppa: int = -1) -> None:
+    def __init__(self, message: str, ppa: int = -1, landed: int = 0) -> None:
         super().__init__(message)
         #: Flat physical page address of the burned page.
         self.ppa = ppa
+        #: Pages of the same bulk program that landed before this one
+        #: (at the ``landed`` PPAs just below :attr:`ppa`).
+        self.landed = landed
 
 
 class UncorrectableReadError(ReadError):
@@ -73,6 +76,12 @@ class ExhaustedRetriesError(FtlError):
     Raised when every replacement block the FTL tried also failed to
     program — the media is dying faster than remapping can route around.
     The device reacts by locking down (graceful degradation)."""
+
+    def __init__(self, message: str, written: int = 0) -> None:
+        super().__init__(message)
+        #: Blocks of the failing write span that were written before it
+        #: gave up.
+        self.written = written
 
 
 class UnmappedReadError(FtlError):

@@ -7,7 +7,7 @@ run when a physical page is superseded and in what GC is allowed to reclaim.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.errors import (
     AddressError,
@@ -17,6 +17,7 @@ from repro.errors import (
     FtlError,
     OutOfSpaceError,
     ProgramFailError,
+    UncorrectableReadError,
     UnmappedReadError,
 )
 from repro.ftl.allocator import BlockAllocator
@@ -118,49 +119,156 @@ class PageMappedFTL:
         return self.mapping.num_lbas
 
     def read(self, lba: int, timestamp: float = 0.0) -> PageInfo:
-        """Read the live version of ``lba``."""
+        """Read the live version of ``lba``: the one-block :meth:`read_span`.
+
+        Raises :class:`~repro.errors.UnmappedReadError` for an LBA never
+        written and :class:`~repro.errors.UncorrectableReadError` when
+        the page stays corrupt after the ECC retry budget.
+        """
+        _done, unmapped, error, page = self.read_span(lba, 1, timestamp)
+        if error is not None:
+            raise error
+        if unmapped:
+            raise UnmappedReadError(f"LBA {lba} has never been written")
+        return page
+
+    def read_span(self, lba: int, length: int, timestamp: float) -> Tuple[
+            int, int, Optional[UncorrectableReadError], Optional[PageInfo]]:
+        """Read up to ``length`` consecutive LBAs, stopping after a lost one.
+
+        Returns ``(done, unmapped, error, page)``: the first ``done``
+        blocks were looked up, ``unmapped`` of them had never been written
+        (no NAND read), and ``page`` is the last block's page (None when
+        it was unmapped or lost).  When a page stays corrupt after the ECC
+        retry budget, the span stops right after it — ``done`` counts it
+        and ``error`` is its
+        :class:`~repro.errors.UncorrectableReadError` — so the caller can
+        account for it before the rest of the span is read.
+        """
         # Reads advance the FTL's notion of "now" just like writes do:
         # cost-benefit victim selection ages blocks against the newest host
         # I/O, and a read-heavy phase must not freeze that clock.
-        self._last_timestamp = max(self._last_timestamp, timestamp)
-        ppa = self.mapping.lookup(lba)
-        if ppa is None:
-            raise UnmappedReadError(f"LBA {lba} has never been written")
-        self.stats.host_reads += 1
-        return self.nand.read(ppa)
+        if timestamp > self._last_timestamp:
+            self._last_timestamp = timestamp
+        read = self.nand.read
+        unmapped = 0
+        page = None
+        done = 0
+        for ppa in self.mapping.lookup_span(lba, length):
+            done += 1
+            if ppa < 0:
+                unmapped += 1
+                page = None
+                continue
+            try:
+                page = read(ppa)
+            except UncorrectableReadError as exc:
+                self.stats.host_reads += done - unmapped
+                return done, unmapped, exc, None
+        self.stats.host_reads += length - unmapped
+        return length, unmapped, None, page
 
     def write(self, lba: int, timestamp: float = 0.0, payload: Optional[bytes] = None) -> int:
         """Write ``lba``; returns the new physical page address.
 
-        A program-verify failure is survived transparently: the write is
-        remapped to a fresh block and the failing block is drained and
-        retired (see :meth:`_retire_block`); only
-        :class:`~repro.errors.ExhaustedRetriesError` — every replacement
-        block failing too — surfaces to the caller.  An ``lba`` outside
-        the logical space raises :class:`~repro.errors.AddressError`
-        before anything is programmed.
+        The one-block :meth:`write_span`, carrying the block's payload.
         """
-        if not 0 <= lba < self._lba_limit:
-            raise AddressError(
-                f"LBA {lba} out of range [0, {self._lba_limit})"
-            )
-        self._last_timestamp = max(self._last_timestamp, timestamp)
-        self._ensure_space()
-        new_ppa = self._host_program(lba, timestamp, payload)
-        old_ppa = self.mapping.update(lba, new_ppa)
-        self.stats.host_writes += 1
-        self._on_superseded(lba, old_ppa, new_ppa, timestamp)
-        return new_ppa
+        return self.write_span(lba, 1, timestamp, payload)
 
-    def write_span(self, lba: int, length: int, timestamp: float) -> None:
-        """Write ``length`` consecutive LBAs (no payload) at ``timestamp``.
+    def write_span(self, lba: int, length: int, timestamp: float,
+                   payload: Optional[bytes] = None) -> Optional[int]:
+        """Write ``length`` consecutive LBAs at ``timestamp``.
 
-        Exactly ``length`` calls of :meth:`write`, in LBA order: one FTL
-        call per host request instead of one per block.
+        Returns the physical page of the last block (None for an empty
+        span); ``payload``, when given, is stored in every block.  The
+        span is written one *run* at a time — the part that fits in the
+        open host block — with one bulk NAND program, one mapping loop,
+        one batched invalidation and one queue call per run.  Runs are cut
+        so that the result equals one single-block write per LBA, in LBA
+        order:
+
+        * free-pool checks (and GC) run before each run; a run is one
+          block long whenever the pool sits at the GC trigger after the
+          host block is opened, because the next block's check would
+          collect garbage;
+        * a program-verify failure is survived transparently: the pages
+          of the run that landed are committed, the failing block is
+          drained and retired (see :meth:`_retire_block`), and the failing
+          LBA is retried in a fresh block with the attempts it has left.
+
+        Only :class:`~repro.errors.ExhaustedRetriesError` — every
+        replacement block failing too — surfaces, with ``written``
+        counting the blocks written before it.  The LBAs before the first
+        one outside the logical space are written, then
+        :class:`~repro.errors.AddressError` is raised for it.
         """
-        write = self.write
-        for offset in range(length):
-            write(lba + offset, timestamp)
+        limit = self._lba_limit
+        if lba < 0:
+            raise AddressError(f"LBA {lba} out of range [0, {limit})")
+        start = lba
+        end = lba + length
+        stop = min(end, limit)
+        if lba < stop and timestamp > self._last_timestamp:
+            self._last_timestamp = timestamp
+        allocator = self.allocator
+        trigger = self.gc_policy.trigger_free_blocks
+        ppa = None
+        failures = 0  # failed programs of the LBA at ``lba`` so far
+        try:
+            while lba < stop:
+                if not failures:
+                    self._ensure_space()
+                block = self._host_block()
+                count = 1
+                if not failures and allocator.free_blocks > trigger:
+                    count = min(stop - lba, self.nand.block(block).free_pages)
+                try:
+                    ppas = self.nand.program_many(block, [
+                        (run_lba, timestamp, payload)
+                        for run_lba in range(lba, lba + count)
+                    ])
+                except ProgramFailError as exc:
+                    # A run longer than one block starts with no failures,
+                    # so the failing LBA's count restarts whenever pages
+                    # before it landed.
+                    if exc.landed:
+                        self._commit_run(
+                            lba, range(exc.ppa - exc.landed, exc.ppa),
+                            timestamp,
+                        )
+                        lba += exc.landed
+                    failures += 1
+                    self.stats.program_fails += 1
+                    self._retire_block(block)
+                    if failures == self.MAX_PROGRAM_ATTEMPTS:
+                        raise ExhaustedRetriesError(
+                            f"write of LBA {lba} failed program verify in "
+                            f"{self.MAX_PROGRAM_ATTEMPTS} consecutive blocks"
+                        ) from exc
+                    continue
+                self._commit_run(lba, ppas, timestamp)
+                lba += count
+                failures = 0
+                ppa = ppas[-1]
+        except ExhaustedRetriesError as exc:
+            # Also raised by a relocation under the span (GC or
+            # retirement): either way the span stops at ``lba``.
+            exc.written = lba - start
+            raise
+        if lba < end:
+            raise AddressError(f"LBA {lba} out of range [0, {limit})")
+        return ppa
+
+    def _commit_run(self, lba: int, ppas, timestamp: float) -> None:
+        """Map consecutive LBAs onto freshly programmed pages ``ppas``."""
+        update = self.mapping.update
+        old_ppas = [update(run_lba, ppa)
+                    for run_lba, ppa in enumerate(ppas, lba)]
+        self.stats.host_writes += len(ppas)
+        self.nand.invalidate_many(
+            [old_ppa for old_ppa in old_ppas if old_ppa is not None]
+        )
+        self._log_backups(lba, old_ppas, ppas, timestamp)
 
     def trim(self, lba: int, timestamp: float = 0.0) -> None:
         """Discard the live version of ``lba`` (e.g. on file deletion)."""
@@ -168,7 +276,8 @@ class PageMappedFTL:
         old_ppa = self.mapping.unmap(lba)
         self.stats.host_trims += 1
         if old_ppa is not None:
-            self._on_trimmed(lba, old_ppa, timestamp)
+            self.nand.invalidate(old_ppa)
+            self._log_backups(lba, (old_ppa,), (None,), timestamp)
 
     # -- programming with remap -------------------------------------------
 
@@ -176,30 +285,16 @@ class PageMappedFTL:
     #: the media failed (the graceful-degradation boundary).
     MAX_PROGRAM_ATTEMPTS = 4
 
-    def _host_program(self, lba: int, timestamp: float,
-                      payload: Optional[bytes]) -> int:
-        """Program a host write, remapping around verify failures."""
-        last: Optional[ProgramFailError] = None
-        for _ in range(self.MAX_PROGRAM_ATTEMPTS):
-            try:
-                block = self.allocator.host_block()
-            except OutOfSpaceError:
-                # The free pool ran dry between GC passes (GC may have had
-                # to skip victims it could not finish); collect once more
-                # now that recent overwrites have created fully-invalid
-                # blocks.
-                self.collect_garbage()
-                block = self.allocator.host_block()
-            try:
-                return self.nand.program(block, lba, timestamp, payload)
-            except ProgramFailError as exc:
-                last = exc
-                self.stats.program_fails += 1
-                self._retire_block(block)
-        raise ExhaustedRetriesError(
-            f"write of LBA {lba} failed program verify in "
-            f"{self.MAX_PROGRAM_ATTEMPTS} consecutive blocks"
-        ) from last
+    def _host_block(self) -> int:
+        """The open host block, collecting garbage once if the pool is dry."""
+        try:
+            return self.allocator.host_block()
+        except OutOfSpaceError:
+            # The free pool ran dry between GC passes (GC may have had to
+            # skip victims it could not finish); collect once more now
+            # that recent overwrites have created fully-invalid blocks.
+            self.collect_garbage()
+            return self.allocator.host_block()
 
     def _gc_program(self, lba: Optional[int], written_at: float,
                     payload: Optional[bytes]) -> int:
@@ -267,16 +362,14 @@ class PageMappedFTL:
 
     # -- subclass hooks -------------------------------------------------
 
-    def _on_superseded(
-        self, lba: int, old_ppa: Optional[int], new_ppa: int, timestamp: float
-    ) -> None:
-        """Called after a write remaps ``lba``; default: drop the old page."""
-        if old_ppa is not None:
-            self.nand.invalidate(old_ppa)
+    def _log_backups(self, lba: int, old_ppas, new_ppas,
+                     timestamp: float) -> None:
+        """Called after consecutive LBAs from ``lba`` were remapped.
 
-    def _on_trimmed(self, lba: int, old_ppa: int, timestamp: float) -> None:
-        """Called after a trim unmaps ``lba``; default: drop the old page."""
-        self.nand.invalidate(old_ppa)
+        ``old_ppas[i]`` is the page ``lba + i`` left (already invalid;
+        None if it was unmapped) and ``new_ppas[i]`` the page it now maps
+        to (None for a trim).  Default: nothing to record.
+        """
 
     def _is_pinned(self, ppa: int) -> bool:
         """True when GC must preserve an invalid page at ``ppa``."""

@@ -105,50 +105,38 @@ class InsiderFTL(PageMappedFTL):
 
     # -- hooks ------------------------------------------------------------
 
-    def _on_superseded(
-        self, lba: int, old_ppa: Optional[int], new_ppa: int, timestamp: float
-    ) -> None:
-        # Dropping the old physical page is baseline supersede work —
-        # the conventional FTL pays the exact same invalidate with no
-        # queue at all (PageMappedFTL._on_superseded) — so it stays
-        # outside _log_backup, whose profile layer (queue.update) then
-        # measures only what the recovery queue *adds* to the write path.
-        if old_ppa is not None:
-            self.nand.invalidate(old_ppa)
-        self._log_backup(lba, old_ppa, new_ppa, timestamp)
+    def _log_backups(self, lba: int, old_ppas, new_ppas,
+                     timestamp: float) -> None:
+        """Log a run of supersessions (overwrites or a trim) into the queue.
 
-    def _on_trimmed(self, lba: int, old_ppa: int, timestamp: float) -> None:
-        self.nand.invalidate(old_ppa)
-        self._log_backup(lba, old_ppa, None, timestamp)
-
-    def _log_backup(self, lba: int, old_ppa: Optional[int],
-                    new_ppa: Optional[int], timestamp: float) -> None:
-        """Log one supersession (overwrite or trim) into the queue.
-
-        The single lazy expiry point for the whole write path: both the
-        overwrite and the trim hook funnel here, so expiry is checked
-        exactly once per logged backup — and the queue's cached head
-        timestamp makes that check O(1) and allocation-free whenever the
-        window has not moved past the oldest entry.
+        Dropping the old physical pages is baseline supersede work the
+        conventional FTL pays too, so it is done before this hook runs;
+        the ``queue.update`` profile layer then measures only what the
+        recovery queue *adds* to the write path.  One queue call per run:
+        expiry is checked once (the run shares one timestamp) and the
+        queue's cached head timestamp makes that check O(1) and
+        allocation-free whenever the window has not moved past the oldest
+        entry.
         """
-        expired, evicted = self.queue.log(lba, old_ppa, new_ppa, timestamp)
-        if self._note_changes:
-            self._note_queue_change(timestamp, expired, evicted,
-                                    pinned=old_ppa is not None)
+        self.queue.log_run(
+            lba, old_ppas, new_ppas, timestamp,
+            self._note_queue_change if self._note_changes else None,
+        )
 
-    def _note_queue_change(self, timestamp, expired, evicted, pinned) -> None:
-        """Fold one queue transition into the tracer and the gauges."""
+    def _note_queue_change(self, expired, evicted, entry) -> None:
+        """Fold one queue append into the tracer and the gauges."""
+        timestamp = entry.timestamp
         tracer = self.obs.tracer
         if tracer.enabled:
-            if pinned:
+            if entry.old_ppa is not None:
                 tracer.instant("queue.pin", category="queue",
                                sim_time=timestamp)
             if expired:
                 tracer.instant("queue.expire", category="queue",
                                sim_time=timestamp, entries=len(expired))
-            for entry in evicted:
+            for evictee in evicted:
                 tracer.instant("queue.evict", category="queue",
-                               sim_time=timestamp, lba=entry.lba)
+                               sim_time=timestamp, lba=evictee.lba)
         if evicted and self._m_queue_evictions is not None:
             self._m_queue_evictions.inc(len(evicted))
         if self._m_queue_depth is not None:

@@ -15,7 +15,7 @@ the equivalence oracle the device soaks compare it against.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.errors import AddressError
 
@@ -62,6 +62,20 @@ class MappingTable:
             raise AddressError(f"LBA {lba} out of range [0, {self._num_lbas})")
         ppa = self._forward[lba]
         return None if ppa < 0 else ppa
+
+    def lookup_span(self, lba: int, length: int) -> Sequence[int]:
+        """PPAs of ``length`` consecutive LBAs from ``lba``, in order.
+
+        :data:`UNMAPPED` stands for an unmapped LBA.  One slice of the
+        table instead of a :meth:`lookup` call per block; an LBA outside
+        the logical space raises before anything is returned.
+        """
+        if not (0 <= lba and lba + length <= self._num_lbas):
+            first_bad = lba if not 0 <= lba < self._num_lbas else self._num_lbas
+            raise AddressError(
+                f"LBA {first_bad} out of range [0, {self._num_lbas})"
+            )
+        return self._forward[lba:lba + length]
 
     def is_mapped(self, lba: int) -> bool:
         """True if the LBA currently has a physical page."""

@@ -18,6 +18,8 @@ way the detector's ``CountingTable`` is:
   index; the cached head timestamp makes the "nothing to do" check O(1),
   and each entry is popped exactly once over its lifetime, so expiry is
   O(1) amortized per request.
+* :meth:`log_run` logs a host write run with one expiry check (every
+  entry of a run shares its timestamp) and one append per entry.
 * :meth:`log` (expire, then append), :meth:`push` and :meth:`expire`
   return the shared empty tuple (:data:`RecoveryQueue.EMPTY`) when nothing
   was evicted/expired, so the common case allocates no list.  Callers
@@ -27,7 +29,8 @@ way the detector's ``CountingTable`` is:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import count, repeat
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, FtlError
 
@@ -131,15 +134,37 @@ class RecoveryQueue:
             timestamp: float) -> Tuple[Sequence[BackupEntry], Sequence[BackupEntry]]:
         """Log one supersession: expire past the window, then append.
 
-        The write path's only queue operation, so expiry is checked
-        exactly once per logged change.  Returns ``(expired, evicted)``;
-        each is the shared read-only :data:`EMPTY` tuple when nothing
-        left the queue.
+        Returns ``(expired, evicted)``; each is the shared read-only
+        :data:`EMPTY` tuple when nothing left the queue.  The FTL logs
+        through :meth:`log_run`, which is this for a run of LBAs.
         """
         expired = self.expire(timestamp)
         # Positional construction: keyword argument binding costs ~240 ns
         # per entry inside the timed window.
-        return expired, self._append(BackupEntry(lba, old_ppa, new_ppa, timestamp))
+        return expired, self._append(
+            (BackupEntry(lba, old_ppa, new_ppa, timestamp),)
+        )
+
+    def log_run(self, lba: int, old_ppas: Sequence[Optional[int]],
+                new_ppas: Sequence[Optional[int]], timestamp: float,
+                note: Optional[Callable] = None) -> None:
+        """Log the supersession of consecutive LBAs from ``lba`` at one time.
+
+        Entry ``i`` records ``lba + i`` moving off ``old_ppas[i]`` onto
+        ``new_ppas[i]``.  Expiry runs once, before the first append —
+        every entry shares ``timestamp``, so expiring again between them
+        would find nothing — and capacity evictions and pins happen per
+        entry, in LBA order, exactly as one :meth:`log` call per entry.
+        ``note(expired, evicted, entry)``, when given, is called after
+        each append, at that entry's queue depth; ``expired`` is only
+        non-empty for the first entry.
+        """
+        expired = self.expire(timestamp)
+        self._append(
+            map(BackupEntry, count(lba), old_ppas, new_ppas,
+                repeat(timestamp)),
+            note, expired,
+        )
 
     def push(self, entry: BackupEntry) -> Sequence[BackupEntry]:
         """Append a change-log entry (timestamps must be non-decreasing).
@@ -151,39 +176,55 @@ class RecoveryQueue:
         list is allocated.  Unlike :meth:`log`, no expiry runs first
         (power-loss rebuild pushes entries reconstructed from NAND).
         """
-        return self._append(entry)
+        return self._append((entry,))
 
-    def _append(self, entry: BackupEntry) -> Sequence[BackupEntry]:
-        # The shared body of log() and push(): neither calls the other, so
-        # a per-function tracer counts each append once, under the entry
-        # point that made it.
-        if entry.timestamp < self._last_timestamp:
-            raise ConfigError(
-                f"backup entries must arrive in time order "
-                f"({entry.timestamp} < {self._last_timestamp})"
-            )
-        self._last_timestamp = entry.timestamp
+    def _append(self, new_entries: Iterable[BackupEntry],
+                note: Optional[Callable] = None,
+                expired: Sequence[BackupEntry] = _EMPTY) -> Sequence[BackupEntry]:
+        """Append entries in order; returns what the last one evicted.
+
+        The shared body of :meth:`log`, :meth:`log_run` and :meth:`push`:
+        none calls another, so a per-function tracer counts each append
+        once, under the entry point that made it.  ``note`` is called
+        after each append as :meth:`log_run` describes.
+        """
         entries = self._entries
-        evicted: Sequence[BackupEntry] = _EMPTY
-        if self.capacity is not None and len(entries) >= self.capacity:
-            popped: List[BackupEntry] = []
-            while len(entries) >= self.capacity:
-                popped.append(self._pop_front())
-                self.evictions += 1
-            evicted = popped
-        if not entries:
-            self._head_ts = entry.timestamp
-        entries.append(entry)
+        pinned = self._pinned
+        on_pin = self.on_pin
+        capacity = self.capacity
         depth = len(entries)
-        if depth > self.depth_peak:
-            self.depth_peak = depth
-        old_ppa = entry.old_ppa
-        if old_ppa is not None:
-            pinned = self._pinned
-            previous = pinned.get(old_ppa)
-            pinned[old_ppa] = entry
-            if previous is None and self.on_pin is not None:
-                self.on_pin(old_ppa)
+        evicted: Sequence[BackupEntry] = _EMPTY
+        for entry in new_entries:
+            timestamp = entry.timestamp
+            if timestamp < self._last_timestamp:
+                raise ConfigError(
+                    f"backup entries must arrive in time order "
+                    f"({timestamp} < {self._last_timestamp})"
+                )
+            self._last_timestamp = timestamp
+            evicted = _EMPTY
+            if capacity is not None and depth >= capacity:
+                popped: List[BackupEntry] = []
+                self.evictions += depth - capacity + 1
+                while depth >= capacity:
+                    popped.append(self._pop_front())
+                    depth -= 1
+                evicted = popped
+            if not depth:
+                self._head_ts = timestamp
+            entries.append(entry)
+            depth += 1
+            if depth > self.depth_peak:
+                self.depth_peak = depth
+            old_ppa = entry.old_ppa
+            if old_ppa is not None:
+                previous = pinned.get(old_ppa)
+                pinned[old_ppa] = entry
+                if previous is None and on_pin is not None:
+                    on_pin(old_ppa)
+            if note is not None:
+                note(expired, evicted, entry)
+                expired = _EMPTY
         return evicted
 
     def _pop_front(self) -> BackupEntry:

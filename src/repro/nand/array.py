@@ -1,8 +1,9 @@
 """NAND array: the full channel x way grid addressed by flat PPAs.
 
-The FTL talks to this class only through physical page addresses; the array
-translates them to (chip, block, page) per the geometry's layout and keeps
-global operation/latency accounting.
+The FTL talks to this class only through physical page addresses and global
+block indexes; the array keeps every block in one flat list, charges each
+operation to its chip's counters, and keeps global operation/latency
+accounting.
 
 The array is also where media faults surface: when a
 :class:`~repro.faults.injector.FaultInjector` is attached, every
@@ -15,9 +16,10 @@ operation takes exactly the pre-fault code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import (
+    AddressError,
     ConfigError,
     EraseError,
     ProgramFailError,
@@ -46,7 +48,12 @@ class WearStats:
 
 
 class NandArray:
-    """All chips of an SSD behind a flat physical-page-address space."""
+    """All chips of an SSD behind a flat physical-page-address space.
+
+    Every erase block lives in one flat list in global-index order
+    (``chip * blocks_per_chip + block``), so a PPA reaches its block with
+    one division; the chips only carry per-chip operation counters.
+    """
 
     def __init__(
         self,
@@ -62,10 +69,18 @@ class NandArray:
         self.faults = faults
         self.ecc = ecc or EccConfig()
         self.reliability = ReliabilityCounters()
-        self._chips: List[NandChip] = [
-            NandChip(self.geometry.blocks_per_chip, self.geometry.pages_per_block)
-            for _ in range(self.geometry.num_chips)
+        geometry = self.geometry
+        self._blocks: List[Block] = [
+            Block(num_pages=geometry.pages_per_block)
+            for _ in range(geometry.blocks_total)
         ]
+        self._chips: List[NandChip] = [
+            NandChip() for _ in range(geometry.num_chips)
+        ]
+        # Geometry constants the per-page paths divide by, as plain ints.
+        self._blocks_per_chip = geometry.blocks_per_chip
+        self._pages_per_block = geometry.pages_per_block
+        self._pages_total = geometry.pages_total
         #: Accumulated simulated NAND busy time in seconds.
         self.busy_time = 0.0
         #: The same busy time split by operation class (reads vs programs
@@ -94,80 +109,84 @@ class NandArray:
 
     def block(self, global_block: int) -> Block:
         """Access an erase block by its global index."""
-        chip_index = global_block // self.geometry.blocks_per_chip
-        block_index = global_block % self.geometry.blocks_per_chip
-        return self._chips[chip_index].block(block_index)
+        if not 0 <= global_block < len(self._blocks):
+            raise AddressError(
+                f"block {global_block} out of range [0, {len(self._blocks)})"
+            )
+        return self._blocks[global_block]
 
     def block_ppa_range(self, global_block: int) -> range:
         """The flat PPAs covered by a global block index."""
         start = global_block * self.geometry.pages_per_block
         return range(start, start + self.geometry.pages_per_block)
 
+    def _locate(self, ppa: int) -> Tuple[int, int]:
+        """``(global block, page index)`` of a flat PPA."""
+        if not 0 <= ppa < self._pages_total:
+            raise ConfigError(
+                f"PPA {ppa} out of range [0, {self._pages_total})"
+            )
+        global_block = ppa // self._pages_per_block
+        return global_block, ppa - global_block * self._pages_per_block
+
     # -- page operations --------------------------------------------------
 
     def program(self, global_block: int, lba: int, timestamp: float, payload=None) -> int:
         """Program the next page of a block; returns the page's flat PPA.
 
-        With a fault injector attached, the program may fail its verify
-        step: the page is burned (consumed, unreadable) and
+        The one-page case of :meth:`program_many`.  With a fault injector
+        attached, the program may fail its verify step: the page is
+        burned (consumed, unreadable) and
         :class:`~repro.errors.ProgramFailError` is raised for the FTL to
         remap the write and retire the block.
         """
-        chip_index = global_block // self.geometry.blocks_per_chip
-        block_index = global_block % self.geometry.blocks_per_chip
-        chip = self._chips[chip_index]
-        page_index = chip.program(block_index, lba, timestamp, payload)
-        self.busy_time += self.latencies.page_program
-        self.busy_breakdown.page_program += self.latencies.page_program
-        ppa = global_block * self.geometry.pages_per_block + page_index
-        if self.faults is not None and self.faults.on_program(global_block):
-            chip.block(block_index).burn(page_index)
-            self.reliability.program_fails += 1
-            chip.counters.program_fails += 1
-            if self.block_listener is not None:
-                self.block_listener(global_block)
-            raise ProgramFailError(
-                f"program verify failed at PPA {ppa} (block {global_block})",
-                ppa=ppa,
-            )
-        if self.block_listener is not None:
-            self.block_listener(global_block)
-        return ppa
+        return self.program_many(global_block, ((lba, timestamp, payload),))[0]
 
-    def program_many(self, global_block: int, pages) -> List[int]:
+    def program_many(self, global_block: int, pages) -> range:
         """Program consecutive pages of one block in a single call.
 
-        ``pages`` is a sequence of ``(lba, timestamp, payload)`` tuples;
-        returns the flat PPAs programmed, in order.  This is the GC bulk
-        relocation path: one call and one block-listener notification
-        cover the whole chunk instead of one per page.
+        ``pages`` is an iterable of ``(lba, timestamp, payload)`` tuples;
+        returns the range of flat PPAs programmed, in order.  Host write
+        runs and GC bulk relocation both land here: one call and one
+        block-listener notification cover the whole run instead of one
+        per page.
 
-        Only callable on a fault-free array: the injector draws RNG per
-        program *in call order*, and this path does not consult it, so
-        mixing the two would silently desynchronise fault streams.
+        With a fault injector attached, each page asks it once, in page
+        order — the same draws as one :meth:`program` call per page.  The
+        first page that fails verify is burned and
+        :class:`~repro.errors.ProgramFailError` is raised; its ``landed``
+        counts the pages of this call programmed before it.
         """
-        if self.faults is not None:
-            raise ConfigError(
-                "program_many is the fault-free bulk path; use program() "
-                "per page when a fault injector is attached"
-            )
-        chip_index = global_block // self.geometry.blocks_per_chip
-        block_index = global_block % self.geometry.blocks_per_chip
-        chip = self._chips[chip_index]
-        base = global_block * self.geometry.pages_per_block
+        block = self.block(global_block)
+        counters = self._chips[global_block // self._blocks_per_chip].counters
+        faults = self.faults
         latency = self.latencies.page_program
         breakdown = self.busy_breakdown
-        ppas: List[int] = []
+        program = block.program
+        base = global_block * self._pages_per_block
+        first = block.write_pointer
         for lba, timestamp, payload in pages:
-            page_index = chip.program(block_index, lba, timestamp, payload)
+            page_index = program(lba, timestamp, payload)
+            counters.programs += 1
             # Per-page accumulation (not one multiply) keeps the float
-            # busy-time totals bit-identical to the per-page path.
+            # busy-time totals bit-identical to one program per call.
             self.busy_time += latency
             breakdown.page_program += latency
-            ppas.append(base + page_index)
-        if ppas and self.block_listener is not None:
+            if faults is not None and faults.on_program(global_block):
+                block.burn(page_index)
+                self.reliability.program_fails += 1
+                counters.program_fails += 1
+                if self.block_listener is not None:
+                    self.block_listener(global_block)
+                ppa = base + page_index
+                raise ProgramFailError(
+                    f"program verify failed at PPA {ppa} (block {global_block})",
+                    ppa=ppa,
+                    landed=page_index - first,
+                )
+        if block.write_pointer > first and self.block_listener is not None:
             self.block_listener(global_block)
-        return ppas
+        return range(base + first, base + block.write_pointer)
 
     def read(self, ppa: int) -> PageInfo:
         """Read a page by flat PPA.
@@ -178,19 +197,25 @@ class NandArray:
         :class:`~repro.errors.UncorrectableReadError` when the page stays
         corrupt.
         """
-        chip_index, block_index, page_index = self.geometry.decompose(ppa)
-        info = self._chips[chip_index].read(block_index, page_index)
-        self.busy_time += self.latencies.page_read
-        self.busy_breakdown.page_read += self.latencies.page_read
+        # _locate, inlined: this runs once per block of every host read.
+        if not 0 <= ppa < self._pages_total:
+            raise ConfigError(
+                f"PPA {ppa} out of range [0, {self._pages_total})"
+            )
+        global_block = ppa // self._pages_per_block
+        page_index = ppa - global_block * self._pages_per_block
+        info = self._blocks[global_block].read(page_index)
+        self._chips[global_block // self._blocks_per_chip].counters.reads += 1
+        latency = self.latencies.page_read
+        self.busy_time += latency
+        self.busy_breakdown.page_read += latency
         if self.faults is not None:
             fault = self.faults.on_read(ppa)
             if fault is not None:
-                self._correct_read(fault, chip_index, block_index,
-                                   page_index)
+                self._correct_read(fault, global_block, page_index)
         return info
 
-    def _correct_read(self, fault, chip_index: int, block_index: int,
-                      page_index: int) -> None:
+    def _correct_read(self, fault, global_block: int, page_index: int) -> None:
         """Run the ECC retry loop for one faulty read.
 
         In-line-correctable faults cost nothing extra; transient faults
@@ -204,9 +229,11 @@ class NandArray:
             return
         budget = self.ecc.max_read_retries
         retries = budget if fault.hard else min(fault.retries_needed, budget)
-        chip = self._chips[chip_index]
+        block = self._blocks[global_block]
+        counters = self._chips[global_block // self._blocks_per_chip].counters
         for attempt in range(1, retries + 1):
-            chip.read(block_index, page_index)
+            block.read(page_index)
+            counters.reads += 1
             retry_cost = self.latencies.read_retry(
                 attempt, self.ecc.retry_backoff
             )
@@ -225,15 +252,15 @@ class NandArray:
 
     def page_state(self, ppa: int) -> PageState:
         """State of a page without counting a device read."""
-        chip_index, block_index, page_index = self.geometry.decompose(ppa)
-        return self._chips[chip_index].block(block_index).pages[page_index].state
+        global_block, page_index = self._locate(ppa)
+        return self._blocks[global_block].pages[page_index].state
 
     def invalidate(self, ppa: int) -> None:
         """Mark the page at ``ppa`` invalid (superseded)."""
-        chip_index, block_index, page_index = self.geometry.decompose(ppa)
-        self._chips[chip_index].block(block_index).invalidate(page_index)
+        global_block, page_index = self._locate(ppa)
+        self._blocks[global_block].invalidate(page_index)
         if self.block_listener is not None:
-            self.block_listener(ppa // self.geometry.pages_per_block)
+            self.block_listener(global_block)
 
     def invalidate_many(self, ppas) -> None:
         """Mark a batch of pages invalid, one listener call per block.
@@ -241,27 +268,35 @@ class NandArray:
         Equivalent to ``invalidate()`` per PPA; the block listener (the
         victim index) only re-reads final per-block state, so firing it
         once per distinct block after the batch is an exact optimisation.
+        A PPA out of range raises after the ones before it, whose blocks
+        the listener still hears about.
         """
-        pages_per_block = self.geometry.pages_per_block
-        blocks_per_chip = self.geometry.blocks_per_chip
-        chips = self._chips
+        pages_per_block = self._pages_per_block
+        pages_total = self._pages_total
+        blocks = self._blocks
         touched = {}
-        for ppa in ppas:
-            global_block = ppa // pages_per_block
-            chips[global_block // blocks_per_chip].block(
-                global_block % blocks_per_chip
-            ).invalidate(ppa % pages_per_block)
-            touched[global_block] = None
-        if self.block_listener is not None:
-            for global_block in touched:
-                self.block_listener(global_block)
+        try:
+            for ppa in ppas:
+                if not 0 <= ppa < pages_total:
+                    raise ConfigError(
+                        f"PPA {ppa} out of range [0, {pages_total})"
+                    )
+                global_block = ppa // pages_per_block
+                blocks[global_block].invalidate(
+                    ppa - global_block * pages_per_block
+                )
+                touched[global_block] = None
+        finally:
+            if self.block_listener is not None:
+                for global_block in touched:
+                    self.block_listener(global_block)
 
     def revalidate(self, ppa: int) -> None:
         """Bring an invalid page back to VALID (rollback restoring it)."""
-        chip_index, block_index, page_index = self.geometry.decompose(ppa)
-        self._chips[chip_index].block(block_index).revalidate(page_index)
+        global_block, page_index = self._locate(ppa)
+        self._blocks[global_block].revalidate(page_index)
         if self.block_listener is not None:
-            self.block_listener(ppa // self.geometry.pages_per_block)
+            self.block_listener(global_block)
 
     def erase(self, global_block: int) -> None:
         """Erase a global block.
@@ -271,13 +306,12 @@ class NandArray:
         :class:`~repro.errors.EraseError` is raised — the grown-bad-block
         path the FTL already survives for natural wear-out.
         """
-        chip_index = global_block // self.geometry.blocks_per_chip
-        block_index = global_block % self.geometry.blocks_per_chip
-        chip = self._chips[chip_index]
+        block = self.block(global_block)
+        counters = self._chips[global_block // self._blocks_per_chip].counters
         if self.faults is not None and self.faults.on_erase(global_block):
-            chip.block(block_index).mark_bad()
+            block.mark_bad()
             self.reliability.erase_fails += 1
-            chip.counters.erase_fails += 1
+            counters.erase_fails += 1
             self.busy_time += self.latencies.block_erase
             self.busy_breakdown.block_erase += self.latencies.block_erase
             if self.block_listener is not None:
@@ -286,17 +320,18 @@ class NandArray:
                 f"erase verify failed on block {global_block} (injected wear-out)"
             )
         try:
-            chip.erase(block_index)
+            block.erase()
         except EraseError:
             # Natural wear-out (fail_next_erase): account it like an
             # injected failure so SMART sees one consistent counter.
             self.reliability.erase_fails += 1
-            chip.counters.erase_fails += 1
+            counters.erase_fails += 1
             self.busy_time += self.latencies.block_erase
             self.busy_breakdown.block_erase += self.latencies.block_erase
             if self.block_listener is not None:
                 self.block_listener(global_block)
             raise
+        counters.erases += 1
         self.busy_time += self.latencies.block_erase
         self.busy_breakdown.block_erase += self.latencies.block_erase
         if self.block_listener is not None:
@@ -307,8 +342,7 @@ class NandArray:
     def count_pages(self, state: PageState) -> int:
         """Count pages in a given state across the whole array."""
         total = 0
-        for global_block in range(self.num_blocks):
-            block = self.block(global_block)
+        for block in self._blocks:
             if state is PageState.FREE:
                 total += block.free_pages
             elif state is PageState.VALID:
@@ -323,10 +357,7 @@ class NandArray:
 
     def erase_counts(self) -> List[int]:
         """Per-block erase counts (the wear profile)."""
-        return [
-            self.block(global_block).erase_count
-            for global_block in range(self.num_blocks)
-        ]
+        return [block.erase_count for block in self._blocks]
 
     def wear_stats(self) -> "WearStats":
         """Summary of how evenly wear is spread across blocks."""

@@ -1,12 +1,13 @@
-"""NAND chip: a set of erase blocks plus per-chip operation counters."""
+"""NAND chip: the per-chip operation counters.
+
+The array keeps every erase block in one flat list indexed by global
+block number (``chip * blocks_per_chip + block``); a chip only
+attributes the page and block operations that land on it.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
-
-from repro.errors import AddressError
-from repro.nand.block import Block
+from dataclasses import dataclass
 
 
 @dataclass
@@ -25,42 +26,7 @@ class ChipCounters:
 
 
 class NandChip:
-    """One NAND die holding ``blocks_per_chip`` erase blocks."""
+    """One NAND die: the counters of the operations that landed on it."""
 
-    def __init__(self, blocks_per_chip: int, pages_per_block: int) -> None:
-        self._blocks: List[Block] = [
-            Block(num_pages=pages_per_block) for _ in range(blocks_per_chip)
-        ]
+    def __init__(self) -> None:
         self.counters = ChipCounters()
-
-    @property
-    def num_blocks(self) -> int:
-        """Erase blocks on this chip."""
-        return len(self._blocks)
-
-    def block(self, index: int) -> Block:
-        """Access a block by index."""
-        if not (0 <= index < len(self._blocks)):
-            raise AddressError(f"block {index} out of range [0, {len(self._blocks)})")
-        return self._blocks[index]
-
-    def program(self, block_index: int, lba: int, timestamp: float, payload=None) -> int:
-        """Program the next free page of a block; returns the page index."""
-        page_index = self.block(block_index).program(lba, timestamp, payload)
-        self.counters.programs += 1
-        return page_index
-
-    def read(self, block_index: int, page_index: int):
-        """Read a page."""
-        info = self.block(block_index).read(page_index)
-        self.counters.reads += 1
-        return info
-
-    def erase(self, block_index: int) -> None:
-        """Erase a block."""
-        self.block(block_index).erase()
-        self.counters.erases += 1
-
-    def total_erase_count(self) -> int:
-        """Sum of per-block erase counts (wear indicator)."""
-        return sum(block.erase_count for block in self._blocks)

@@ -63,16 +63,19 @@ LAYERS: Tuple[Tuple[str, str, str], ...] = (
      "RansomwareDetector._close_slice"),
     ("detector.fast_forward", "repro.core.detector",
      "RansomwareDetector._try_fast_forward"),
-    ("ftl.write", "repro.ftl.base", "PageMappedFTL.write"),
-    ("ftl.read", "repro.ftl.base", "PageMappedFTL.read"),
+    # write and read are the one-block cases of the span functions, so
+    # the span functions alone cover every host write and read.
+    ("ftl.write", "repro.ftl.base", "PageMappedFTL.write_span"),
+    ("ftl.read", "repro.ftl.base", "PageMappedFTL.read_span"),
     ("ftl.trim", "repro.ftl.base", "PageMappedFTL.trim"),
     ("ftl.translate", "repro.ftl.mapping", "MappingTable.lookup"),
+    ("ftl.translate", "repro.ftl.mapping", "MappingTable.lookup_span"),
     ("ftl.translate", "repro.ftl.mapping", "MappingTable.update"),
-    ("queue.update", "repro.ftl.insider", "InsiderFTL._log_backup"),
+    ("queue.update", "repro.ftl.insider", "InsiderFTL._log_backups"),
     ("ftl.gc", "repro.ftl.base", "PageMappedFTL._collect_garbage"),
     ("ftl.gc.select_victim", "repro.ftl.victim_index", "VictimIndex.select"),
     ("ftl.rollback", "repro.ftl.insider", "InsiderFTL.rollback"),
-    ("nand.program", "repro.nand.array", "NandArray.program"),
+    # program is the one-page case of program_many.
     ("nand.program", "repro.nand.array", "NandArray.program_many"),
     ("nand.read", "repro.nand.array", "NandArray.read"),
     ("nand.erase", "repro.nand.array", "NandArray.erase"),

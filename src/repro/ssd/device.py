@@ -28,12 +28,11 @@ from repro.errors import (
     DeviceReadOnlyError,
     ExhaustedRetriesError,
     RecoveryError,
-    UncorrectableReadError,
-    UnmappedReadError,
 )
 from repro.faults.injector import FaultInjector
 from repro.ftl.insider import InsiderFTL, RollbackReport
 from repro.nand.array import NandArray
+from repro.nand.block import PageInfo
 from repro.obs import Observability
 from repro.ssd.config import SSDConfig
 from repro.units import BLOCK_SIZE
@@ -255,24 +254,9 @@ class SimulatedSSD:
         if self.fr is not None:
             self._flight_note(request)
         if request.mode is IOMode.READ:
-            for lba in request.lbas():
-                self._read_block(lba)
-            return
-        # Trace writes carry no payload, so a whole write request can run
-        # as one FTL span — identical per-block operation order, one FTL
-        # call per request.  Falls back to the per-block loop whenever a
-        # block could take a divergent path: already read-only (drop
-        # accounting), fault injection (program failures can flip
-        # read-only mid-request), or a content-aware detector (per-block
-        # observe_write hook).
-        if (not self.read_only and self.fault_injector is None
-                and (self.detector is None
-                     or not hasattr(self.detector.tree, "observe_write"))):
-            self.stats.writes += request.length
-            self.ftl.write_span(request.lba, request.length, self.clock.now)
-            return
-        for lba in request.lbas():
-            self._write_block(lba, None)
+            self._read_run(request.lba, request.length)
+        else:
+            self._write_run(request.lba, request.length, None)
 
     def read(self, lba: int, now: Optional[float] = None) -> bytes:
         """Read one 4-KB block; unmapped blocks read as zeroes."""
@@ -298,9 +282,9 @@ class SimulatedSSD:
         if self.fr is not None:
             self._flight_note(request)
         if not self._observe_requests:
-            self._write_block(lba, payload)
+            self._write_run(lba, 1, payload)
             return
-        self._observed(request, lambda: self._write_block(lba, payload))
+        self._observed(request, lambda: self._write_run(lba, 1, payload))
 
     def trim(self, lba: int, now: Optional[float] = None) -> None:
         """Discard one block (used by the filesystem on delete)."""
@@ -670,38 +654,73 @@ class SimulatedSSD:
             )
 
     def _read_block(self, lba: int) -> bytes:
-        self.stats.reads += 1
-        try:
-            info = self.ftl.read(lba, self.clock.now)
-        except UnmappedReadError:
-            self.stats.unmapped_reads += 1
+        """One block's data; unmapped and lost blocks read as zeroes."""
+        page = self._read_run(lba, 1)
+        if page is None or page.payload is None:
             return bytes(BLOCK_SIZE)
-        except UncorrectableReadError as exc:
-            self.stats.uncorrectable_reads += 1
-            self._media_degrade("uncorrectable_read", lockdown=False,
-                                lba=lba, retries=exc.retries)
-            return bytes(BLOCK_SIZE)
-        if info.payload is None:
-            return bytes(BLOCK_SIZE)
-        return info.payload
+        return page.payload
 
-    def _write_block(self, lba: int, payload: Optional[bytes]) -> None:
-        if self.read_only:
-            if self.strict_read_only:
-                raise DeviceReadOnlyError("device is read-only after an alarm")
-            self.stats.dropped_writes += 1
-            if self._m_dropped is not None:
-                self._m_dropped.inc()
-            return
+    def _read_run(self, lba: int, length: int) -> Optional[PageInfo]:
+        """Serve a read of ``length`` blocks; returns the last block's page.
+
+        One FTL call per span, plus one more after each block lost to the
+        media: a lost block is counted — and raises the media alarm — in
+        LBA order, before the blocks after it are read.
+        """
+        stats = self.stats
+        now = self.clock.now
+        page = None
+        while length:
+            done, unmapped, error, page = self.ftl.read_span(lba, length, now)
+            stats.reads += done
+            if unmapped:
+                stats.unmapped_reads += unmapped
+            if error is not None:
+                stats.uncorrectable_reads += 1
+                self._media_degrade("uncorrectable_read", lockdown=False,
+                                    lba=lba + done - 1, retries=error.retries)
+            lba += done
+            length -= done
+        return page
+
+    def _write_run(self, lba: int, length: int,
+                   payload: Optional[bytes]) -> None:
+        """Write ``length`` blocks; those arriving while read-only are dropped.
+
+        One FTL call per span.  When every remap target fails program
+        verify, the failing block is counted, the device locks down, and
+        the rest of the span meets the read-only lockdown like any later
+        write.
+        """
+        stats = self.stats
         # Content-aware models (repro.core.entropy.HybridDetector) sample
         # write payloads as they stream through the firmware.
-        if self.detector is not None and hasattr(self.detector.tree,
-                                                 "observe_write"):
-            self.detector.tree.observe_write(payload)
-        self.stats.writes += 1
-        try:
-            self.ftl.write(lba, self.clock.now, payload)
-        except ExhaustedRetriesError:
-            self.stats.failed_writes += 1
-            self._media_degrade("program_retries_exhausted", lockdown=True,
-                                lba=lba)
+        observe_write = (
+            getattr(self.detector.tree, "observe_write", None)
+            if self.detector is not None else None
+        )
+        while length:
+            if self.read_only:
+                if self.strict_read_only:
+                    raise DeviceReadOnlyError(
+                        "device is read-only after an alarm"
+                    )
+                stats.dropped_writes += length
+                if self._m_dropped is not None:
+                    self._m_dropped.inc(length)
+                return
+            try:
+                self.ftl.write_span(lba, length, self.clock.now, payload)
+                done, failed = length, False
+            except ExhaustedRetriesError as exc:
+                done, failed = exc.written + 1, True
+            if observe_write is not None:
+                for _ in range(done):
+                    observe_write(payload)
+            stats.writes += done
+            lba += done
+            length -= done
+            if failed:
+                stats.failed_writes += 1
+                self._media_degrade("program_retries_exhausted",
+                                    lockdown=True, lba=lba - 1)

@@ -101,7 +101,7 @@ class Namespace:
             self.stats.dropped_writes += 1
             return
         self.stats.writes += 1
-        device._write_block(physical, payload)
+        device._write_run(physical, 1, payload)
 
     def tick(self, now: float) -> None:
         """Advance this namespace's detector through idle time."""

@@ -10,9 +10,10 @@ and require the device to behave bit for bit the same.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import AddressError
+from repro.ftl.mapping import UNMAPPED
 
 
 class DictMappingTable:
@@ -38,6 +39,14 @@ class DictMappingTable:
         """PPA currently mapped for ``lba``, or None if unmapped."""
         self._check(lba)
         return self._map.get(lba)
+
+    def lookup_span(self, lba: int, length: int) -> List[int]:
+        """PPAs of consecutive LBAs, ``UNMAPPED`` (-1) where unmapped."""
+        if length:
+            self._check(lba)
+            self._check(lba + length - 1)
+        return [self._map.get(lba + offset, UNMAPPED)
+                for offset in range(length)]
 
     def is_mapped(self, lba: int) -> bool:
         """True if the LBA currently has a physical page."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AddressError
-from repro.ftl.mapping import MappingTable
+from repro.ftl.mapping import UNMAPPED, MappingTable
 from tests.oracles.mapping import DictMappingTable
 
 #: Both implementations of the translation contract, by short name.
@@ -54,6 +54,20 @@ class TestMappingTable:
             table.lookup(16)
         with pytest.raises(AddressError):
             table.update(-1, 0)
+
+    def test_lookup_span_matches_lookup(self, table):
+        table.update(3, 100)
+        table.update(5, 7)
+        span = list(table.lookup_span(2, 5))
+        assert span == [UNMAPPED, 100, UNMAPPED, 7, UNMAPPED]
+        assert span == [UNMAPPED if table.lookup(lba) is None
+                        else table.lookup(lba) for lba in range(2, 7)]
+        assert list(table.lookup_span(16, 0)) == []
+
+    @pytest.mark.parametrize("lba,length", [(-1, 2), (14, 3), (16, 1)])
+    def test_lookup_span_out_of_range(self, table, lba, length):
+        with pytest.raises(AddressError):
+            table.lookup_span(lba, length)
 
     def test_rejects_negative_ppa(self, table):
         with pytest.raises(AddressError):

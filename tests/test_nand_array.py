@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import AddressError, ConfigError
 from repro.nand.array import NandArray
 from repro.nand.block import PageState
 from repro.nand.geometry import NandGeometry
@@ -93,3 +94,42 @@ class TestAccounting:
         # Block 2 lives on chip 1.
         ppa = nand.program(2, 5, 0.0)
         assert nand.geometry.chip_of(ppa) == 1
+
+
+class TestAddressBounds:
+    """Out-of-range indexes raise the argument's own error type instead of
+    aliasing onto another block (negative indexes) or escaping as a bare
+    ``IndexError``: a block index raises ``AddressError``, a flat PPA
+    ``ConfigError`` (as ``NandGeometry.decompose`` does)."""
+
+    @pytest.mark.parametrize("global_block", [-1, -8, 8, 100])
+    def test_block_index_out_of_range(self, tiny_nand, global_block):
+        with pytest.raises(AddressError):
+            tiny_nand.block(global_block)
+        with pytest.raises(AddressError):
+            tiny_nand.program(global_block, 5, 1.0)
+        with pytest.raises(AddressError):
+            tiny_nand.program_many(global_block, [(5, 1.0, None)])
+        with pytest.raises(AddressError):
+            tiny_nand.erase(global_block)
+        # Nothing was programmed or erased anywhere.
+        assert tiny_nand.total_programs() == 0
+        assert tiny_nand.total_erases() == 0
+        assert tiny_nand.count_pages(PageState.FREE) == (
+            tiny_nand.geometry.pages_total)
+
+    @pytest.mark.parametrize("ppa", [-1, -32, 256, 10_000])
+    def test_ppa_out_of_range(self, tiny_nand, ppa):
+        last = tiny_nand.num_blocks - 1
+        for _ in range(tiny_nand.geometry.pages_per_block):
+            tiny_nand.program(last, 5, 1.0)
+        operations = (tiny_nand.read, tiny_nand.page_state,
+                      tiny_nand.invalidate, tiny_nand.revalidate,
+                      lambda p: tiny_nand.invalidate_many([p]))
+        for operation in operations:
+            with pytest.raises(ConfigError):
+                operation(ppa)
+        # The last block, where a negative PPA used to land, is untouched.
+        assert tiny_nand.block(last).valid_count == (
+            tiny_nand.geometry.pages_per_block)
+        assert tiny_nand.block(last).reads_since_erase == 0

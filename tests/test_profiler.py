@@ -146,21 +146,30 @@ class TestBuildReport:
 
 
 def _replay(run, recover=False):
-    """Replay ``run`` on a fresh small device; returns it and the count."""
+    """Replay ``run`` on a fresh small device.
+
+    Returns the device, the requests submitted and the lengths of the
+    write requests the FTL executed (those the read-only lockdown did not
+    drop), in order.
+    """
     device = SimulatedSSD(SSDConfig.small())
     num_lbas = device.num_lbas
     submitted = 0
+    write_spans = []
     for request in run.trace:
         lba = request.lba % max(1, num_lbas - request.length)
+        dropped = device.stats.dropped_writes
         device.submit(dataclasses.replace(request, lba=lba))
         submitted += 1
+        if request.is_write and device.stats.dropped_writes == dropped:
+            write_spans.append(request.length)
         if device.read_only:
             if recover:
                 device.recover()
             else:
                 device.dismiss_alarm()
     device.tick(run.duration)
-    return device, submitted
+    return device, submitted, write_spans
 
 
 def _tree_paths(node, path=()):
@@ -173,14 +182,15 @@ def _tree_paths(node, path=()):
 
 @pytest.fixture(scope="module")
 def golden_armed():
-    """One armed golden replay: (profiler, device, requests submitted).
+    """One armed golden replay: (profiler, device, requests submitted,
+    lengths of the write requests executed).
 
     12 simulated seconds: long enough for GC erases and two rollbacks.
     """
     run = _golden_run(duration=12.0)
     with LayerProfiler() as prof:
-        device, submitted = _replay(run, recover=True)
-    return prof, device, submitted
+        device, submitted, write_spans = _replay(run, recover=True)
+    return prof, device, submitted, write_spans
 
 
 class TestBoundaryTable:
@@ -229,24 +239,33 @@ class TestBoundaryTable:
 
     def test_no_layer_nested_under_itself(self, golden_armed):
         """Keeps the inclusive sums of layers() free of double counting."""
-        prof, _, _ = golden_armed
+        prof, _, _, _ = golden_armed
         for chain in _tree_paths(prof.root.as_dict()):
             assert len(set(chain)) == len(chain), chain
 
 
 class TestExactCounts:
     def test_golden_counts_match_device_state(self, golden_armed):
-        prof, device, submitted = golden_armed
+        prof, device, submitted, write_spans = golden_armed
         layers = prof.layers()
         assert device.ftl.stats.erases > 0
         assert layers["detector.observe"]["calls"] == submitted
         assert layers["ssd.submit"]["calls"] == submitted
         assert layers["nand.erase"]["calls"] == device.ftl.stats.erases
         assert layers["ftl.rollback"]["calls"] == len(device.rollback_reports)
-        assert layers["ftl.write"]["calls"] == device.ftl.stats.host_writes
+        # One FTL write call per executed write request, whatever its
+        # length: the span is the unit of ftl.write.
+        assert layers["ftl.write"]["calls"] == len(write_spans)
+
+    def test_golden_host_writes_count_every_block(self, golden_armed):
+        _, device, _, write_spans = golden_armed
+        # No program fails on a healthy device, so every block of every
+        # executed write request is one host write.
+        assert device.ftl.stats.host_writes == sum(write_spans)
+        assert device.stats.writes == sum(write_spans)
 
     def test_two_armed_replays_count_identically(self, golden_armed):
-        first, _, _ = golden_armed
+        first, _, _, _ = golden_armed
         with LayerProfiler() as second:
             _replay(_golden_run(duration=12.0), recover=True)
         calls = lambda prof: {name: stats["calls"]
@@ -260,8 +279,8 @@ class TestDoNoHarm:
     def test_detection_event_stream_bit_identical(self, golden_armed):
         """Acceptance: profiler-armed run == plain run, event for event,
         rollback for rollback, counter for counter."""
-        _, armed, _ = golden_armed
-        plain, _ = _replay(_golden_run(duration=12.0), recover=True)
+        _, armed, _, _ = golden_armed
+        plain, _, _ = _replay(_golden_run(duration=12.0), recover=True)
         assert armed.rollback_reports, "golden replay must roll back"
         assert plain.detector.events == armed.detector.events
         assert plain.detector.alarm_event == armed.detector.alarm_event
