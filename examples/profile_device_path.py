@@ -14,10 +14,12 @@ Run:  python examples/profile_device_path.py
 from __future__ import annotations
 
 from repro.analysis.report import render_table
-from repro.tools.profile import golden_scenario, profile_device_replay
+from repro.tools.profile import (
+    GOLDEN_SEED,
+    golden_scenario,
+    profile_device_replay,
+)
 from repro.workloads.scenario import Scenario
-
-GOLDEN_SEED = 20180706
 
 
 def main() -> None:

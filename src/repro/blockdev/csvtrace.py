@@ -54,6 +54,11 @@ def load_csv_trace(
         if missing:
             raise TraceError(f"{path}: missing columns {sorted(missing)}")
         for line_number, record in enumerate(reader, start=2):
+            if None in record.values():
+                raise TraceError(
+                    f"{path}:{line_number}: row has fewer fields than the "
+                    f"header"
+                )
             try:
                 mode_raw = record[mode_column].strip().lower()
                 mode = _MODE_ALIASES[mode_raw]

@@ -12,6 +12,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+_INF = float("inf")
+
 
 class IOMode(enum.Enum):
     """Request type: read or write."""
@@ -45,8 +47,10 @@ class IORequest:
     source: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"request time must be non-negative, got {self.time}")
+        if not 0 <= self.time < _INF:  # also false for NaN
+            raise ValueError(
+                f"request time must be finite and non-negative, got {self.time}"
+            )
         if self.lba < 0:
             raise ValueError(f"LBA must be non-negative, got {self.lba}")
         if self.length < 1:

@@ -147,7 +147,10 @@ def _decode_at(data: bytes, offset: int) -> Tuple[object, int]:
             offset + length
     if tag == b"D":
         _need(data, offset, 8)
-        return struct.unpack_from(">d", data, offset)[0], offset + 8
+        (number,) = struct.unpack_from(">d", data, offset)
+        if number != number:
+            raise FleetRecordError(f"NaN float at offset {offset}")
+        return number, offset + 8
     if tag == b"S":
         _need(data, offset, 4)
         (length,) = struct.unpack_from(">I", data, offset)
@@ -186,8 +189,18 @@ def _need(data: bytes, offset: int, count: int) -> None:
 
 
 def decode_value(data: bytes) -> object:
-    """Decode one canonical binary value (must consume all bytes)."""
-    value, offset = _decode_at(data, 0)
+    """Decode one canonical binary value (must consume all bytes).
+
+    Malformed input raises :class:`FleetRecordError` only: bad UTF-8 or
+    integer text and nesting deeper than the interpreter's recursion
+    limit are caught once here rather than checked per value.
+    """
+    try:
+        value, offset = _decode_at(data, 0)
+    except (ValueError, RecursionError) as exc:
+        raise FleetRecordError(
+            f"malformed record: {type(exc).__name__}: {exc}"
+        ) from None
     if offset != len(data):
         raise FleetRecordError(
             f"{len(data) - offset} trailing bytes after the value"

@@ -1,11 +1,10 @@
 """Layer-attributed profiler: where does the device path actually spend time?
 
-``results/BENCH_hotpath.json`` can say the full
-:class:`~repro.ssd.device.SimulatedSSD` path runs at ~78k req/s while the
-detector alone does ~390k — but not *where inside* NAND / FTL /
-latency-model the other 80% goes.  This module is the attribution layer:
-it accumulates **inclusive/exclusive wall time and call counts per layer**
-into a call tree.
+perfbench can say how fast the full
+:class:`~repro.ssd.device.SimulatedSSD` path runs end to end, but not
+*where inside* detector / FTL / NAND the time goes.  This module is the
+attribution layer: it accumulates **inclusive/exclusive wall time and
+call counts per layer** into a call tree.
 
 Profiling happens from the outside.  :data:`LAYERS` is the one static
 table saying which functions are layers; while a profiler is armed
@@ -329,7 +328,7 @@ def build_report(
             region (the coverage check compares attribution against it).
         context: Run description (scenario, seeds, device config...).
         meta: Provenance (git SHA, config hash), as produced by
-            :func:`repro.tools.bench.report_meta`.
+            :func:`repro.tools.profile.report_meta`.
         unarmed_wall_s: Wall time of the same run with the profiler
             disarmed; the overhead section is ``None`` without it.
     """

@@ -14,9 +14,10 @@
 * ``python -m repro.tools.observe`` — replay any Table I catalog scenario
   through a fully instrumented device; export a Perfetto-compatible
   Chrome trace and a metrics summary.
-* ``python -m repro.tools.bench`` — hot-path benchmark: replay a
-  synthetic ransomware/background mix (with a long idle gap) through the
-  bare detector and the simulated device, and time a full scenario;
-  writes ``BENCH_hotpath.json``.  The naive-reference equivalence oracles
-  live in ``tests/oracles/`` and run with the test suite.
+* ``python -m repro.tools.profile`` — replay a scenario under the
+  layer-attributed profiler and report where device-path wall time goes.
+
+Speed is measured by the repo's one benchmark, ``python -m perfbench``
+(run from the repository root).  The naive-reference equivalence oracles
+live in ``tests/oracles/`` and run with the test suite.
 """

@@ -1,7 +1,7 @@
 """Layer-attributed profiling of the device path: where does the time go?
 
-``BENCH_hotpath.json`` says the full device path is ~5x slower than the
-bare detector; this tool says *why*.  It replays a scenario through a
+perfbench says how fast the device path runs end to end; this tool
+says *why*.  It replays a scenario through a
 :class:`~repro.ssd.device.SimulatedSSD` once plain and once with the
 :class:`~repro.obs.prof.LayerProfiler` armed, then renders per-layer
 inclusive/exclusive wall time, the call tree, and the profiler's
@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
+import subprocess
 import sys
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, time
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import render_table
@@ -37,7 +39,6 @@ from repro.blockdev.request import IORequest
 from repro.obs.prof import LayerProfiler, build_report
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SimulatedSSD
-from repro.tools.bench import GOLDEN_SEED, report_meta
 from repro.workloads.catalog import testing_scenarios, training_scenarios
 from repro.workloads.scenario import Scenario
 
@@ -46,8 +47,11 @@ from repro.workloads.scenario import Scenario
 COVERAGE_FLOOR = 0.95
 
 #: The sentinel scenario name resolving to the golden attack scenario the
-#: bench equivalence gate also replays.
+#: equivalence tests also replay.
 GOLDEN = "golden"
+
+#: Seed of the golden scenario replay.
+GOLDEN_SEED = 20180706
 
 
 def _catalog() -> Dict[str, Scenario]:
@@ -59,6 +63,30 @@ def golden_scenario(duration: float = 60.0) -> Scenario:
     return Scenario("golden-cloudstorage-wannacry", ransomware="wannacry",
                     app="cloudstorage", category="heavy_overwrite",
                     duration=duration)
+
+
+def report_meta(config: Dict[str, object]) -> Dict[str, object]:
+    """Provenance stamped into every report: git SHA + config hash.
+
+    The SHA maps a report onto a commit, and two reports are comparable
+    only when their config hashes match.  Outside a git checkout the SHA
+    is ``None`` (the report stays valid).
+    """
+    try:
+        sha: Optional[str] = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            capture_output=True, text=True, timeout=10, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        sha = None
+    digest = hashlib.sha256(
+        json.dumps(config, sort_keys=True).encode("utf-8")
+    ).hexdigest()[:12]
+    return {
+        "git_sha": sha,
+        "config_hash": digest,
+        "created_unix": round(time(), 3),
+    }
 
 
 #: Batch size for the profiled replay: large enough that the per-batch

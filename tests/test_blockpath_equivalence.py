@@ -28,10 +28,9 @@ from repro.obs import Observability
 from repro.obs.flightrec import FlightRecorder
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SimulatedSSD
-from repro.tools.profile import golden_scenario
+from repro.tools.profile import GOLDEN_SEED, golden_scenario
 from tests.oracles.blockpath import BlockPathFTL, BlockPathSSD
 
-GOLDEN_SEED = 20180706
 DURATION = 12.0
 
 #: Device kind -> (config faults, strict read-only, hybrid detector,

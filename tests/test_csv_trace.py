@@ -92,6 +92,19 @@ class TestValidation:
         with pytest.raises(TraceError):
             load_csv_trace(path)
 
+    @pytest.mark.parametrize("stamp", ["nan", "inf"])
+    def test_non_finite_time(self, tmp_path, stamp):
+        path = tmp_path / "t.csv"
+        path.write_text(f"time,lba,mode\n{stamp},1,r\n")
+        with pytest.raises(TraceError):
+            load_csv_trace(path)
+
+    def test_short_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("time,lba,mode\n0.5,2,w\n1.0,5\n")
+        with pytest.raises(TraceError, match=":3:"):
+            load_csv_trace(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("")

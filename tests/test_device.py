@@ -13,8 +13,7 @@ from repro.nand.block import PageState
 from repro.obs import Observability
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SimulatedSSD
-from repro.tools.bench import GOLDEN_SEED
-from repro.tools.profile import golden_scenario
+from repro.tools.profile import GOLDEN_SEED, golden_scenario
 from repro.units import BLOCK_SIZE
 
 

@@ -24,20 +24,14 @@ from repro.ssd.smart import (
     ATTR_UNCORRECTABLE_READS,
     smart_report,
 )
-from repro.workloads.scenario import Scenario
-
-GOLDEN_SCENARIO = Scenario(
-    "golden-cloudstorage-wannacry", ransomware="wannacry", app="cloudstorage",
-    category="heavy_overwrite", duration=60.0,
-)
-GOLDEN_SEED = 20180706
+from repro.tools.profile import GOLDEN_SEED, golden_scenario
 
 
 def replay_golden(config):
     """Replay the golden trace through a device; return its event stream."""
     device = SimulatedSSD(config)
     num_lbas = device.num_lbas
-    run = GOLDEN_SCENARIO.build(seed=GOLDEN_SEED)
+    run = golden_scenario().build(seed=GOLDEN_SEED)
     for request in run.trace:
         lba = request.lba % max(1, num_lbas - request.length)
         device.submit(IORequest(time=request.time, lba=lba, mode=request.mode,

@@ -144,6 +144,51 @@ class TestFraming:
             loads_record(frame)
 
 
+class TestMalformedInput:
+    """Bad bytes raise FleetRecordError, never a bare Python error."""
+
+    def test_invalid_utf8_string(self):
+        with pytest.raises(FleetRecordError):
+            decode_value(b"S\x00\x00\x00\x01\xff")
+
+    def test_non_numeric_bigint_text(self):
+        with pytest.raises(FleetRecordError):
+            decode_value(b"J\x00\x00\x00\x01x")
+
+    def test_deep_nesting(self):
+        with pytest.raises(FleetRecordError):
+            decode_value(b"L\x00\x00\x00\x01" * 5000 + b"N")
+
+    def test_nan_float(self):
+        with pytest.raises(FleetRecordError):
+            decode_value(b"D\x7f\xf8" + 6 * b"\x00")
+
+    def test_seeded_mutation_fuzz(self):
+        """Mutants of one device frame either decode or raise the typed error."""
+        rng = random.Random(derive_seed(0, "fleetrec-mutation"))
+        frame = dumps_record({
+            "kind": "device", "index": 3, "name": "d\u00e9vice-\u00fc",
+            "score": 0.25, "big": 2 ** 90,
+            "flags": [True, False, None, -1.5],
+            "nested": {"a": [1, 2, {"b": "x"}], "c": -(2 ** 63)},
+        })
+        for _ in range(3000):
+            mutant = bytearray(frame)
+            for _ in range(rng.randrange(1, 4)):
+                at = rng.randrange(len(mutant))
+                op = rng.randrange(3)
+                if op == 0:
+                    mutant[at] = rng.randrange(256)
+                elif op == 1:
+                    mutant.insert(at, rng.randrange(256))
+                else:
+                    del mutant[at]
+            try:
+                loads_record(bytes(mutant))
+            except FleetRecordError:
+                pass
+
+
 class TestFleetFile:
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "fleet.fleetrec"

@@ -19,7 +19,7 @@ from repro.core.config import DetectorConfig
 from repro.core.counting_table import CountingTable
 from repro.core.detector import RansomwareDetector
 from repro.core.window import SliceStats, SlidingWindow
-from repro.workloads.scenario import Scenario
+from repro.tools.profile import GOLDEN_SEED, golden_scenario
 from tests.oracles.reference import (
     NaiveCountingTable,
     NaiveSlidingWindow,
@@ -28,11 +28,7 @@ from tests.oracles.reference import (
 
 #: The golden Table-I-style combination: unknown ransomware over an
 #: IO-heavy background app, the hardest mix for feature stability.
-GOLDEN_SCENARIO = Scenario(
-    "golden-cloudstorage-wannacry", ransomware="wannacry", app="cloudstorage",
-    category="heavy_overwrite", duration=60.0,
-)
-GOLDEN_SEED = 20180706  # ICDCS'18 vintage
+GOLDEN_SCENARIO = golden_scenario()
 
 
 def replay_both(trace, config=None, keep_history=True):

@@ -1,8 +1,8 @@
 """The profiling surface of the tool suite.
 
 Covers the ``repro.tools.profile`` CLI (report, ``--check`` coverage
-gate, ``--json``), the ``--profile`` pass-throughs on ``bench`` and
-``defend``, the bench warmup split, and ``observe --format prometheus``.
+gate, ``--json``, the ``meta`` provenance block), the ``--profile``
+pass-through on ``defend``, and ``observe --format prometheus``.
 """
 
 import json
@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.obs.prof import PROFILE_SCHEMA
-from repro.tools import bench, defend, observe, profile
+from repro.tools import defend, observe, profile
 
 
 @pytest.fixture(scope="module")
@@ -73,43 +73,20 @@ class TestProfileCli:
         assert excinfo.value.code == 2
 
 
-class TestBenchWarmup:
-    def test_smoke_report_has_steady_percentiles(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_smoke.json"
-        code = bench.main(["--smoke", "--paths", "detector", "--requests", "4000",
-                           "--out", str(out)])
-        capsys.readouterr()
-        assert code == 0
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["config"]["warmup_requests"] == 500  # smoke clamp
-        detector = report["paths"]["detector"]
-        assert detector["warmup_requests"] == 500
-        for field in ("per_request", "per_request_steady"):
-            assert "p99_us" in detector[field]
+class TestReportMeta:
+    def test_meta_has_provenance_fields(self):
+        meta = profile.report_meta({"requests": 10, "seed": 1})
+        assert set(meta) == {"git_sha", "config_hash", "created_unix"}
+        assert len(meta["config_hash"]) == 12
 
-    def test_warmup_larger_than_sample_is_clamped(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_tiny.json"
-        code = bench.main(["--paths", "detector", "--requests", "1000",
-                           "--warmup", "999999", "--out", str(out)])
-        capsys.readouterr()
-        assert code == 0
-        detector = json.loads(out.read_text(encoding="utf-8"))["paths"]["detector"]
-        # Clamped so the steady window is never empty.
-        assert detector["warmup_requests"] < 1000
-        assert detector["per_request_steady"]["p99_us"] > 0
+    def test_config_hash_is_order_insensitive(self):
+        first = profile.report_meta({"a": 1, "b": 2})
+        second = profile.report_meta({"b": 2, "a": 1})
+        assert first["config_hash"] == second["config_hash"]
 
-    def test_bench_profile_flag(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_prof.json"
-        prof_out = tmp_path / "profile.json"
-        code = bench.main(["--smoke", "--paths", "device", "--device-requests", "2000",
-                           "--out", str(out), "--profile", str(prof_out)])
-        capsys.readouterr()
-        assert code == 0
-        profile_doc = json.loads(prof_out.read_text(encoding="utf-8"))
-        assert profile_doc["schema"] == PROFILE_SCHEMA
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["profile"]["coverage"]["fraction_of_wall"] > 0
-        assert report["profile"]["top_layers"]
+    def test_config_hash_tracks_content(self):
+        assert (profile.report_meta({"a": 1})["config_hash"]
+                != profile.report_meta({"a": 2})["config_hash"])
 
 
 class TestObservePrometheus:

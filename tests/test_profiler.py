@@ -30,12 +30,10 @@ from repro.ssd.config import SSDConfig
 from repro.ssd.device import SimulatedSSD
 from repro.tools.profile import (
     COVERAGE_FLOOR,
+    GOLDEN_SEED,
     golden_scenario,
     profile_device_replay,
 )
-from repro.workloads.scenario import Scenario
-
-GOLDEN_SEED = 20180706
 
 
 def _golden_run(duration=8.0, seed=GOLDEN_SEED):

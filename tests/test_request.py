@@ -22,6 +22,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IORequest(time=-1.0, lba=0, mode=IOMode.READ)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_rejects_non_finite_time(self, time):
+        with pytest.raises(ValueError):
+            IORequest(time=time, lba=0, mode=IOMode.READ)
+
     def test_rejects_negative_lba(self):
         with pytest.raises(ValueError):
             IORequest(time=0.0, lba=-1, mode=IOMode.READ)

@@ -98,6 +98,13 @@ class TestPersistence:
         with pytest.raises(TraceError):
             Trace.load(path)
 
+    @pytest.mark.parametrize("stamp", ["NaN", "Infinity"])
+    def test_load_rejects_non_finite_time(self, tmp_path, stamp):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f'{{"t": {stamp}, "lba": 1, "mode": "R", "len": 1}}\n')
+        with pytest.raises(TraceError):
+            Trace.load(path)
+
     def test_load_skips_blank_lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"t": 0.0, "lba": 1, "mode": "R", "len": 1}\n\n')

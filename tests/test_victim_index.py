@@ -292,8 +292,7 @@ class TestDeviceGoldenEquivalence:
         from repro.blockdev.request import IORequest
         from repro.ssd.config import SSDConfig
         from repro.ssd.device import SimulatedSSD
-        from repro.tools.bench import GOLDEN_SEED
-        from repro.tools.profile import golden_scenario
+        from repro.tools.profile import GOLDEN_SEED, golden_scenario
 
         run = golden_scenario(duration=self.DURATION).build(seed=GOLDEN_SEED)
         device = SimulatedSSD(
