@@ -17,28 +17,19 @@ def merge_streams(streams: Iterable[Iterable[IORequest]]) -> Iterator[IORequest]
 
     Each input stream must be non-decreasing in time; the output preserves a
     global time order.  Ties are broken by stream index so merging is
-    deterministic.
+    deterministic.  A stream has at most one entry in the heap at a time,
+    so ``(time, stream index)`` is unique and the heap never compares two
+    requests.
     """
     iterators = [iter(stream) for stream in streams]
     heap: List = []
     for index, iterator in enumerate(iterators):
         first = next(iterator, None)
         if first is not None:
-            heapq.heappush(heap, (first.time, index, _Counter.next(), first))
+            heapq.heappush(heap, (first.time, index, first))
     while heap:
-        _, index, _, request = heapq.heappop(heap)
+        _, index, request = heapq.heappop(heap)
         yield request
         following = next(iterators[index], None)
         if following is not None:
-            heapq.heappush(heap, (following.time, index, _Counter.next(), following))
-
-
-class _Counter:
-    """Monotone tie-breaker so heap entries never compare IORequest objects."""
-
-    _value = 0
-
-    @classmethod
-    def next(cls) -> int:
-        cls._value += 1
-        return cls._value
+            heapq.heappush(heap, (following.time, index, following))

@@ -121,30 +121,34 @@ class PageMappedFTL:
     def read(self, lba: int, timestamp: float = 0.0) -> PageInfo:
         """Read the live version of ``lba``: the one-block :meth:`read_span`.
 
-        Raises :class:`~repro.errors.UnmappedReadError` for an LBA never
-        written and :class:`~repro.errors.UncorrectableReadError` when
-        the page stays corrupt after the ECC retry budget.
+        Returns a snapshot of the page read.  Raises
+        :class:`~repro.errors.UnmappedReadError` for an LBA never written
+        and :class:`~repro.errors.UncorrectableReadError` when the page
+        stays corrupt after the ECC retry budget.
         """
-        _done, unmapped, error, page = self.read_span(lba, 1, timestamp)
+        _done, unmapped, error, ppa = self.read_span(lba, 1, timestamp)
         if error is not None:
             raise error
         if unmapped:
             raise UnmappedReadError(f"LBA {lba} has never been written")
-        return page
+        return self.nand.page(ppa)
 
     def read_span(self, lba: int, length: int, timestamp: float) -> Tuple[
-            int, int, Optional[UncorrectableReadError], Optional[PageInfo]]:
+            int, int, Optional[UncorrectableReadError], Optional[int]]:
         """Read up to ``length`` consecutive LBAs, stopping after a lost one.
 
-        Returns ``(done, unmapped, error, page)``: the first ``done``
+        Returns ``(done, unmapped, error, ppa)``: the first ``done``
         blocks were looked up, ``unmapped`` of them had never been written
-        (no NAND read), and ``page`` is the last block's page (None when
-        it was unmapped or lost).  When a page stays corrupt after the ECC
-        retry budget, the span stops right after it — ``done`` counts it
-        and ``error`` is its
+        (no NAND read), and ``ppa`` is the last block's physical page
+        (None when it was unmapped or lost).  When a page stays corrupt
+        after the ECC retry budget, the span stops right after it —
+        ``done`` counts it and ``error`` is its
         :class:`~repro.errors.UncorrectableReadError` — so the caller can
-        account for it before the rest of the span is read.
+        account for it before the rest of the span is read.  A span
+        reaching outside the logical space raises
+        :class:`~repro.errors.AddressError` before anything is read.
         """
+        lookups = self.mapping.lookup_span(lba, length)
         # Reads advance the FTL's notion of "now" just like writes do:
         # cost-benefit victim selection ages blocks against the newest host
         # I/O, and a read-heavy phase must not freeze that clock.
@@ -152,21 +156,22 @@ class PageMappedFTL:
             self._last_timestamp = timestamp
         read = self.nand.read
         unmapped = 0
-        page = None
+        last = None
         done = 0
-        for ppa in self.mapping.lookup_span(lba, length):
+        for ppa in lookups:
             done += 1
             if ppa < 0:
                 unmapped += 1
-                page = None
+                last = None
                 continue
             try:
-                page = read(ppa)
+                read(ppa)
             except UncorrectableReadError as exc:
                 self.stats.host_reads += done - unmapped
                 return done, unmapped, exc, None
+            last = ppa
         self.stats.host_reads += length - unmapped
-        return length, unmapped, None, page
+        return length, unmapped, None, last
 
     def write(self, lba: int, timestamp: float = 0.0, payload: Optional[bytes] = None) -> int:
         """Write ``lba``; returns the new physical page address.
@@ -223,10 +228,10 @@ class PageMappedFTL:
                 if not failures and allocator.free_blocks > trigger:
                     count = min(stop - lba, self.nand.block(block).free_pages)
                 try:
-                    ppas = self.nand.program_many(block, [
-                        (run_lba, timestamp, payload)
-                        for run_lba in range(lba, lba + count)
-                    ])
+                    ppas = self.nand.program_many(
+                        block, range(lba, lba + count),
+                        [timestamp] * count, [payload] * count,
+                    )
                 except ProgramFailError as exc:
                     # A run longer than one block starts with no failures,
                     # so the failing LBA's count restarts whenever pages
@@ -271,9 +276,13 @@ class PageMappedFTL:
         self._log_backups(lba, old_ppas, ppas, timestamp)
 
     def trim(self, lba: int, timestamp: float = 0.0) -> None:
-        """Discard the live version of ``lba`` (e.g. on file deletion)."""
-        self._last_timestamp = max(self._last_timestamp, timestamp)
+        """Discard the live version of ``lba`` (e.g. on file deletion).
+
+        An LBA outside the logical space raises
+        :class:`~repro.errors.AddressError` before anything changes.
+        """
         old_ppa = self.mapping.unmap(lba)
+        self._last_timestamp = max(self._last_timestamp, timestamp)
         self.stats.host_trims += 1
         if old_ppa is not None:
             self.nand.invalidate(old_ppa)
@@ -331,19 +340,9 @@ class PageMappedFTL:
             # below can never be handed the dying block as a target.
             self.allocator.retire(global_block)
             self.victim_index.remove(global_block)
-            geometry = self.nand.geometry
-            block = self.nand.block(global_block)
-            moved = 0
-            for ppa in self.nand.block_ppa_range(global_block):
-                page = block.pages[ppa % geometry.pages_per_block]
-                if page.state is PageState.VALID:
-                    self._copy_valid_page(ppa, page)
-                    moved += 1
-                elif page.state is PageState.INVALID and self._is_pinned(ppa):
-                    self._copy_pinned_page(ppa, page)
-                    moved += 1
+            moved = self._relocate_per_page(global_block)
             self.stats.retirement_copies += moved
-            block.mark_bad()
+            self.nand.block(global_block).is_bad = True
             self.stats.bad_blocks += 1
             if self.obs.armed_tracer and self.obs.tracer.enabled:
                 self.obs.tracer.instant(
@@ -481,17 +480,23 @@ class PageMappedFTL:
             self._relocate_per_page(victim)
         self._erase_victim(victim)
 
-    def _relocate_per_page(self, victim: int) -> None:
-        """Original one-page-at-a-time relocation (fault-armed devices)."""
-        geometry = self.nand.geometry
-        victim_block = self.nand.block(victim)
+    def _relocate_per_page(self, victim: int) -> int:
+        """Relocate ``victim``'s survivors one page at a time.
+
+        The path of fault-armed devices and of block retirement; returns
+        the pages moved.
+        """
+        states = self.nand.states
+        moved = 0
         for ppa in self.nand.block_ppa_range(victim):
-            page_index = ppa % geometry.pages_per_block
-            page = victim_block.pages[page_index]
-            if page.state is PageState.VALID:
-                self._copy_valid_page(ppa, page)
-            elif page.state is PageState.INVALID and self._is_pinned(ppa):
-                self._copy_pinned_page(ppa, page)
+            state = states[ppa]
+            if state is PageState.VALID:
+                self._copy_valid_page(ppa)
+                moved += 1
+            elif state is PageState.INVALID and self._is_pinned(ppa):
+                self._copy_pinned_page(ppa)
+                moved += 1
+        return moved
 
     def _relocate_bulk(self, victim: int) -> None:
         """Relocate every surviving page of ``victim`` in bulk NAND calls.
@@ -505,43 +510,47 @@ class PageMappedFTL:
         :meth:`~repro.ftl.allocator.BlockAllocator.gc_block` would have
         opened them.
         """
-        victim_block = self.nand.block(victim)
-        base = victim * self.nand.geometry.pages_per_block
-        pages = victim_block.pages
+        nand = self.nand
+        base = victim * nand.geometry.pages_per_block
+        stop = base + nand.block(victim).write_pointer
         survivors = []
-        for page_index in range(victim_block.write_pointer):
-            page = pages[page_index]
-            state = page.state
+        pinned = []
+        for ppa, state in enumerate(nand.states[base:stop], base):
             if state is PageState.VALID:
-                survivors.append((base + page_index, page, False))
-            elif state is PageState.INVALID and self._is_pinned(
-                base + page_index
-            ):
-                survivors.append((base + page_index, page, True))
+                survivors.append(ppa)
+                pinned.append(False)
+            elif state is PageState.INVALID and self._is_pinned(ppa):
+                survivors.append(ppa)
+                pinned.append(True)
         if not survivors:
             return
+        lbas = nand.lbas
+        written_at = nand.written_at
+        payloads = nand.payloads
         mapping = self.mapping
         invalidations = []
         pinned_moves = 0
         index = 0
         while index < len(survivors):
             target = self.allocator.gc_block()
-            room = self.nand.block(target).free_pages
-            chunk = survivors[index:index + room]
-            new_ppas = self.nand.program_many(
+            end = index + nand.block(target).free_pages
+            chunk = survivors[index:end]
+            new_ppas = nand.program_many(
                 target,
-                [(page.lba, page.written_at, page.payload)
-                 for _ppa, page, _pinned in chunk],
+                [lbas[ppa] for ppa in chunk],
+                [written_at[ppa] for ppa in chunk],
+                [payloads[ppa] for ppa in chunk],
             )
-            for (old_ppa, page, pinned), new_ppa in zip(chunk, new_ppas):
-                if pinned:
+            for old_ppa, is_pinned, new_ppa in zip(chunk, pinned[index:end],
+                                                   new_ppas):
+                if is_pinned:
                     # The relocated copy is still an *old version*: it is
                     # immediately invalid, kept alive only by its pin.
                     invalidations.append(new_ppa)
                     self._on_pinned_moved(old_ppa, new_ppa)
                     pinned_moves += 1
                 else:
-                    lba = page.lba
+                    lba = lbas[old_ppa]
                     if lba is None or mapping.lookup(lba) != old_ppa:
                         raise FtlError(
                             f"mapping invariant broken: valid page "
@@ -550,7 +559,7 @@ class PageMappedFTL:
                     mapping.update(lba, new_ppa)
                     invalidations.append(old_ppa)
             index += len(chunk)
-        self.nand.invalidate_many(invalidations)
+        nand.invalidate_many(invalidations)
         moved = len(survivors)
         self.stats.gc_page_copies += moved
         self.stats.gc_pinned_copies += pinned_moves
@@ -578,21 +587,24 @@ class PageMappedFTL:
             self._m_erases.inc()
         self.allocator.release(victim)
 
-    def _copy_valid_page(self, ppa: int, page: PageInfo) -> None:
-        lba = page.lba
+    def _copy_valid_page(self, ppa: int) -> None:
+        lba = self.nand.lbas[ppa]
         if lba is None or self.mapping.lookup(lba) != ppa:
             raise FtlError(
                 f"mapping invariant broken: valid page {ppa} not the live copy of its LBA"
             )
-        new_ppa = self._gc_program(lba, page.written_at, page.payload)
+        new_ppa = self._gc_program(lba, self.nand.written_at[ppa],
+                                   self.nand.payloads[ppa])
         self.mapping.update(lba, new_ppa)
         self.nand.invalidate(ppa)
         self.stats.gc_page_copies += 1
         if self._m_gc_copies is not None:
             self._m_gc_copies.inc(kind="valid")
 
-    def _copy_pinned_page(self, ppa: int, page: PageInfo) -> None:
-        new_ppa = self._gc_program(page.lba, page.written_at, page.payload)
+    def _copy_pinned_page(self, ppa: int) -> None:
+        nand = self.nand
+        new_ppa = self._gc_program(nand.lbas[ppa], nand.written_at[ppa],
+                                   nand.payloads[ppa])
         # The relocated copy is still an *old version*, so it is immediately
         # invalid; only the recovery queue keeps it alive.
         self.nand.invalidate(new_ppa)
@@ -618,6 +630,7 @@ class PageMappedFTL:
         ftl = cls(nand, op_ratio=op_ratio, gc_policy=gc_policy, **kwargs)
         newest = {}  # lba -> (written_at, ppa)
         geometry = nand.geometry
+        states = nand.states
         for global_block in range(nand.num_blocks):
             block = nand.block(global_block)
             if block.write_pointer > 0:
@@ -625,24 +638,23 @@ class PageMappedFTL:
             if block.is_bad:
                 ftl.allocator.retire(global_block)
                 continue
-            for page_index in range(block.write_pointer):
-                page = block.pages[page_index]
-                ppa = global_block * geometry.pages_per_block + page_index
+            base = global_block * geometry.pages_per_block
+            for ppa in range(base, base + block.write_pointer):
                 # Derive state purely from OOB: flags are not trusted
                 # (a real chip has no "invalid" bit to read back).
-                page.state = PageState.INVALID
-                if page.lba is None or page.lba >= ftl.num_lbas:
+                states[ppa] = PageState.INVALID
+                lba = nand.lbas[ppa]
+                if lba is None or lba >= ftl.num_lbas:
                     continue
-                current = newest.get(page.lba)
-                if current is None or page.written_at >= current[0]:
-                    newest[page.lba] = (page.written_at, ppa)
+                current = newest.get(lba)
+                written_at = nand.written_at[ppa]
+                if current is None or written_at >= current[0]:
+                    newest[lba] = (written_at, ppa)
             block.valid_count = 0
         for lba, (written_at, ppa) in newest.items():
             ftl.mapping.update(lba, ppa)
-            global_block = geometry.block_of(ppa)
-            block = nand.block(global_block)
-            block.pages[ppa % geometry.pages_per_block].state = PageState.VALID
-            block.valid_count += 1
+            states[ppa] = PageState.VALID
+            nand.block(geometry.block_of(ppa)).valid_count += 1
             ftl._last_timestamp = max(ftl._last_timestamp, written_at)
         # The scan above rewrote page states wholesale, bypassing the
         # per-operation listener; recompute the victim index once.

@@ -252,19 +252,19 @@ class InsiderFTL(PageMappedFTL):
         """
         ftl = super().rebuild(nand, op_ratio=op_ratio, gc_policy=gc_policy,
                               **kwargs)
-        geometry = nand.geometry
+        pages_per_block = nand.geometry.pages_per_block
         versions = {}  # lba -> [(written_at, ppa), ...]
         for global_block in range(nand.num_blocks):
             block = nand.block(global_block)
             if block.is_bad:
                 continue
-            for page_index in range(block.write_pointer):
-                page = block.pages[page_index]
-                if page.lba is None or page.lba >= ftl.num_lbas:
+            base = global_block * pages_per_block
+            for ppa in range(base, base + block.write_pointer):
+                lba = nand.lbas[ppa]
+                if lba is None or lba >= ftl.num_lbas:
                     continue
-                ppa = global_block * geometry.pages_per_block + page_index
-                versions.setdefault(page.lba, []).append(
-                    (page.written_at, ppa)
+                versions.setdefault(lba, []).append(
+                    (nand.written_at[ppa], ppa)
                 )
         horizon = ftl._last_timestamp - ftl.queue.retention
         entries = []

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.nand.block import Block, PageState
+from repro.nand.array import NandArray
 
 
 class VictimPolicy(enum.Enum):
@@ -65,10 +65,12 @@ def score_block(
     return ((1.0 - utilization) * age) / (2.0 * utilization + 1e-9)
 
 
-def block_newest(block: Block) -> float:
-    """Timestamp of the newest programmed page (0.0 for an empty block)."""
-    return max(
-        (page.written_at for page in block.pages
-         if page.state is not PageState.FREE),
-        default=0.0,
-    )
+def block_newest(nand: NandArray, global_block: int) -> float:
+    """Timestamp of the newest programmed page (0.0 for an empty block).
+
+    The programmed pages are the ones below the write pointer; a burned
+    page's cleared timestamp (0.0) never wins.
+    """
+    start = global_block * nand.geometry.pages_per_block
+    stop = start + nand.block(global_block).write_pointer
+    return max(nand.written_at[start:stop], default=0.0)

@@ -134,7 +134,8 @@ class VictimIndex:
             # First filing this erase generation: freeze the newest
             # timestamp.  A full block receives no further programs, so
             # the cached value stays exact until the next erase.
-            self._newest[global_block] = block_newest(block)
+            self._newest[global_block] = block_newest(self.nand,
+                                                      global_block)
             self._newest_gen[global_block] = block.erase_count
         self._buckets[reclaimable].add(global_block)
         self._bucket_of[global_block] = reclaimable
@@ -335,13 +336,13 @@ class VictimIndex:
                         f"victim index corrupt: block {global_block} "
                         f"missing from bucket {reclaimable}"
                     )
+                newest = block_newest(self.nand, global_block)
                 if (self._newest_gen[global_block] == block.erase_count
-                        and self._newest[global_block]
-                        != block_newest(block)):
+                        and self._newest[global_block] != newest):
                     raise FtlError(
                         f"victim index corrupt: block {global_block} newest "
                         f"cache {self._newest[global_block]} != recomputed "
-                        f"{block_newest(block)}"
+                        f"{newest}"
                     )
             elif filed != -1:
                 raise FtlError(

@@ -1,9 +1,10 @@
 """NAND array: the full channel x way grid addressed by flat PPAs.
 
 The FTL talks to this class only through physical page addresses and global
-block indexes; the array keeps every block in one flat list, charges each
-operation to its chip's counters, and keeps global operation/latency
-accounting.
+block indexes; the array keeps every block's counters in one flat list and
+every page's state, OOB record and payload in four flat per-PPA lists,
+charges each operation to its chip's counters, and keeps global
+operation/latency accounting.
 
 The array is also where media faults surface: when a
 :class:`~repro.faults.injector.FaultInjector` is attached, every
@@ -16,13 +17,15 @@ operation takes exactly the pre-fault code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import (
     AddressError,
     ConfigError,
     EraseError,
+    ProgramError,
     ProgramFailError,
+    ReadError,
     UncorrectableReadError,
 )
 from repro.nand.block import Block, PageInfo, PageState
@@ -30,6 +33,10 @@ from repro.nand.chip import NandChip
 from repro.nand.ecc import EccConfig, ReliabilityCounters
 from repro.nand.geometry import NandGeometry
 from repro.nand.latency import LatencyBreakdown, NandLatencies
+
+_FREE = PageState.FREE
+_VALID = PageState.VALID
+_INVALID = PageState.INVALID
 
 
 @dataclass(frozen=True)
@@ -52,7 +59,12 @@ class NandArray:
 
     Every erase block lives in one flat list in global-index order
     (``chip * blocks_per_chip + block``), so a PPA reaches its block with
-    one division; the chips only carry per-chip operation counters.
+    one division; the chips only carry per-chip operation counters.  Page
+    data lives in four flat lists indexed by PPA — :attr:`states`,
+    :attr:`lbas`, :attr:`written_at` and :attr:`payloads` — which the FTL
+    reads directly.  Changes go through the page operations below, which
+    keep the block counters and the block listener exact; only the FTL's
+    power-loss rebuild rewrites :attr:`states` wholesale.
     """
 
     def __init__(
@@ -71,9 +83,18 @@ class NandArray:
         self.reliability = ReliabilityCounters()
         geometry = self.geometry
         self._blocks: List[Block] = [
-            Block(num_pages=geometry.pages_per_block)
+            Block(geometry.pages_per_block)
             for _ in range(geometry.blocks_total)
         ]
+        pages_total = geometry.pages_total
+        #: Per-PPA page state (:class:`~repro.nand.block.PageState`).
+        self.states: List[PageState] = [_FREE] * pages_total
+        #: Per-PPA OOB record: the LBA a page was written for (None when
+        #: free or burned) and its write timestamp.
+        self.lbas: List[Optional[int]] = [None] * pages_total
+        self.written_at: List[float] = [0.0] * pages_total
+        #: Per-PPA payload (None when free, burned or written without one).
+        self.payloads: List[Optional[bytes]] = [None] * pages_total
         self._chips: List[NandChip] = [
             NandChip() for _ in range(geometry.num_chips)
         ]
@@ -94,7 +115,7 @@ class NandArray:
         self.block_listener = None
         if faults is not None:
             for global_block in faults.factory_bad_blocks(self.num_blocks):
-                self.block(global_block).mark_bad()
+                self.block(global_block).is_bad = True
 
     # -- block addressing ----------------------------------------------
 
@@ -120,14 +141,12 @@ class NandArray:
         start = global_block * self.geometry.pages_per_block
         return range(start, start + self.geometry.pages_per_block)
 
-    def _locate(self, ppa: int) -> Tuple[int, int]:
-        """``(global block, page index)`` of a flat PPA."""
+    def _check_ppa(self, ppa: int) -> None:
+        """Reject a PPA outside the array."""
         if not 0 <= ppa < self._pages_total:
             raise ConfigError(
                 f"PPA {ppa} out of range [0, {self._pages_total})"
             )
-        global_block = ppa // self._pages_per_block
-        return global_block, ppa - global_block * self._pages_per_block
 
     # -- page operations --------------------------------------------------
 
@@ -140,71 +159,113 @@ class NandArray:
         :class:`~repro.errors.ProgramFailError` is raised for the FTL to
         remap the write and retire the block.
         """
-        return self.program_many(global_block, ((lba, timestamp, payload),))[0]
+        return self.program_many(global_block, (lba,), (timestamp,),
+                                 (payload,))[0]
 
-    def program_many(self, global_block: int, pages) -> range:
+    def program_many(self, global_block: int, lbas, written_at,
+                     payloads) -> range:
         """Program consecutive pages of one block in a single call.
 
-        ``pages`` is an iterable of ``(lba, timestamp, payload)`` tuples;
-        returns the range of flat PPAs programmed, in order.  Host write
-        runs and GC bulk relocation both land here: one call and one
-        block-listener notification cover the whole run instead of one
-        per page.
+        ``lbas``, ``written_at`` and ``payloads`` are parallel sequences,
+        one item per page: its OOB LBA, its OOB timestamp and its payload.
+        Returns the range of flat PPAs programmed, in order.  Host write
+        runs and GC bulk relocation both land here: one slice store per
+        page list and one block-listener notification cover the whole
+        run.  Pages are programmed sequentially, so a run that does not
+        fit in the block's free pages (or a bad block) is rejected with
+        :class:`~repro.errors.ProgramError` before any page changes.
 
         With a fault injector attached, each page asks it once, in page
         order — the same draws as one :meth:`program` call per page.  The
-        first page that fails verify is burned and
+        first page that fails verify is burned — consumed (the write
+        pointer stays past it: NAND cannot reprogram it without an erase)
+        but INVALID with its OOB record cleared, so neither reads nor a
+        power-loss rebuild trust it — and
         :class:`~repro.errors.ProgramFailError` is raised; its ``landed``
         counts the pages of this call programmed before it.
         """
         block = self.block(global_block)
-        counters = self._chips[global_block // self._blocks_per_chip].counters
-        faults = self.faults
-        latency = self.latencies.page_program
-        breakdown = self.busy_breakdown
-        program = block.program
-        base = global_block * self._pages_per_block
+        count = len(lbas)
         first = block.write_pointer
-        for lba, timestamp, payload in pages:
-            page_index = program(lba, timestamp, payload)
-            counters.programs += 1
-            # Per-page accumulation (not one multiply) keeps the float
-            # busy-time totals bit-identical to one program per call.
-            self.busy_time += latency
-            breakdown.page_program += latency
-            if faults is not None and faults.on_program(global_block):
-                block.burn(page_index)
-                self.reliability.program_fails += 1
-                counters.program_fails += 1
-                if self.block_listener is not None:
-                    self.block_listener(global_block)
-                ppa = base + page_index
-                raise ProgramFailError(
-                    f"program verify failed at PPA {ppa} (block {global_block})",
-                    ppa=ppa,
-                    landed=page_index - first,
-                )
-        if block.write_pointer > first and self.block_listener is not None:
+        if block.is_bad:
+            raise ProgramError(f"block {global_block} is marked bad")
+        if count > block.num_pages - first:
+            raise ProgramError(
+                f"block {global_block} full: {count} pages do not fit in "
+                f"{block.num_pages - first} free"
+            )
+        failed = -1
+        if self.faults is not None:
+            on_program = self.faults.on_program
+            for index in range(count):
+                if on_program(global_block):
+                    failed = index
+                    lbas, written_at, payloads = (
+                        lbas[:index + 1], written_at[:index + 1],
+                        payloads[:index + 1])
+                    count = index + 1
+                    break
+        start = global_block * self._pages_per_block + first
+        stop = start + count
+        self.states[start:stop] = [_VALID] * count
+        self.lbas[start:stop] = lbas
+        self.written_at[start:stop] = written_at
+        self.payloads[start:stop] = payloads
+        block.write_pointer = first + count
+        block.valid_count += count
+        counters = self._chips[global_block // self._blocks_per_chip].counters
+        counters.programs += count
+        # Per-page accumulation (not one multiply) keeps the float
+        # busy-time totals bit-identical to one program per call.
+        latency = self.latencies.page_program
+        busy = self.busy_time
+        breakdown = self.busy_breakdown
+        spent = breakdown.page_program
+        for _ in range(count):
+            busy += latency
+            spent += latency
+        self.busy_time = busy
+        breakdown.page_program = spent
+        if failed >= 0:
+            burned = stop - 1
+            self.states[burned] = _INVALID
+            self.lbas[burned] = None
+            self.written_at[burned] = 0.0
+            self.payloads[burned] = None
+            block.valid_count -= 1
+            self.reliability.program_fails += 1
+            counters.program_fails += 1
+        if count and self.block_listener is not None:
             self.block_listener(global_block)
-        return range(base + first, base + block.write_pointer)
+        if failed >= 0:
+            raise ProgramFailError(
+                f"program verify failed at PPA {burned} (block {global_block})",
+                ppa=burned,
+                landed=failed,
+            )
+        return range(start, stop)
 
-    def read(self, ppa: int) -> PageInfo:
-        """Read a page by flat PPA.
+    def read(self, ppa: int) -> None:
+        """Read a programmed page by flat PPA (charged, nothing returned).
 
-        With a fault injector attached, the read may come back with raw
-        bit errors; the ECC retry loop re-reads with backoff up to the
-        configured budget and raises
-        :class:`~repro.errors.UncorrectableReadError` when the page stays
-        corrupt.
+        Counts the chip read, the block's read disturb and the latency;
+        the page's contents are in :attr:`lbas`, :attr:`written_at` and
+        :attr:`payloads` at index ``ppa``.  With a fault injector
+        attached, the read may come back with raw bit errors; the ECC
+        retry loop re-reads with backoff up to the configured budget and
+        raises :class:`~repro.errors.UncorrectableReadError` when the page
+        stays corrupt.  Old versions (INVALID pages) stay readable:
+        recovery depends on it.
         """
-        # _locate, inlined: this runs once per block of every host read.
+        # _check_ppa, inlined: this runs once per block of every host read.
         if not 0 <= ppa < self._pages_total:
             raise ConfigError(
                 f"PPA {ppa} out of range [0, {self._pages_total})"
             )
+        if self.states[ppa] is _FREE:
+            raise ReadError(f"PPA {ppa} has not been programmed")
         global_block = ppa // self._pages_per_block
-        page_index = ppa - global_block * self._pages_per_block
-        info = self._blocks[global_block].read(page_index)
+        self._blocks[global_block].reads_since_erase += 1
         self._chips[global_block // self._blocks_per_chip].counters.reads += 1
         latency = self.latencies.page_read
         self.busy_time += latency
@@ -212,10 +273,9 @@ class NandArray:
         if self.faults is not None:
             fault = self.faults.on_read(ppa)
             if fault is not None:
-                self._correct_read(fault, global_block, page_index)
-        return info
+                self._correct_read(fault, global_block)
 
-    def _correct_read(self, fault, global_block: int, page_index: int) -> None:
+    def _correct_read(self, fault, global_block: int) -> None:
         """Run the ECC retry loop for one faulty read.
 
         In-line-correctable faults cost nothing extra; transient faults
@@ -232,7 +292,7 @@ class NandArray:
         block = self._blocks[global_block]
         counters = self._chips[global_block // self._blocks_per_chip].counters
         for attempt in range(1, retries + 1):
-            block.read(page_index)
+            block.reads_since_erase += 1
             counters.reads += 1
             retry_cost = self.latencies.read_retry(
                 attempt, self.ecc.retry_backoff
@@ -250,30 +310,34 @@ class NandArray:
             )
         self.reliability.corrected_reads += 1
 
+    def page(self, ppa: int) -> PageInfo:
+        """Snapshot of one page's state, OOB record and payload (no read)."""
+        self._check_ppa(ppa)
+        return PageInfo(self.states[ppa], self.lbas[ppa],
+                        self.written_at[ppa], self.payloads[ppa])
+
     def page_state(self, ppa: int) -> PageState:
         """State of a page without counting a device read."""
-        global_block, page_index = self._locate(ppa)
-        return self._blocks[global_block].pages[page_index].state
+        self._check_ppa(ppa)
+        return self.states[ppa]
 
     def invalidate(self, ppa: int) -> None:
         """Mark the page at ``ppa`` invalid (superseded)."""
-        global_block, page_index = self._locate(ppa)
-        self._blocks[global_block].invalidate(page_index)
-        if self.block_listener is not None:
-            self.block_listener(global_block)
+        self.invalidate_many((ppa,))
 
     def invalidate_many(self, ppas) -> None:
-        """Mark a batch of pages invalid, one listener call per block.
+        """Mark a batch of VALID pages invalid, one listener call per block.
 
         Equivalent to ``invalidate()`` per PPA; the block listener (the
         victim index) only re-reads final per-block state, so firing it
         once per distinct block after the batch is an exact optimisation.
-        A PPA out of range raises after the ones before it, whose blocks
-        the listener still hears about.
+        A PPA out of range or not VALID raises after the ones before it,
+        whose blocks the listener still hears about.
         """
         pages_per_block = self._pages_per_block
         pages_total = self._pages_total
         blocks = self._blocks
+        states = self.states
         touched = {}
         try:
             for ppa in ppas:
@@ -281,10 +345,14 @@ class NandArray:
                     raise ConfigError(
                         f"PPA {ppa} out of range [0, {pages_total})"
                     )
+                state = states[ppa]
+                if state is not _VALID:
+                    raise ProgramError(
+                        f"cannot invalidate PPA {ppa} in state {state.value}"
+                    )
+                states[ppa] = _INVALID
                 global_block = ppa // pages_per_block
-                blocks[global_block].invalidate(
-                    ppa - global_block * pages_per_block
-                )
+                blocks[global_block].valid_count -= 1
                 touched[global_block] = None
         finally:
             if self.block_listener is not None:
@@ -292,64 +360,82 @@ class NandArray:
                     self.block_listener(global_block)
 
     def revalidate(self, ppa: int) -> None:
-        """Bring an invalid page back to VALID (rollback restoring it)."""
-        global_block, page_index = self._locate(ppa)
-        self._blocks[global_block].revalidate(page_index)
+        """Bring an invalid page back to VALID (rollback restoring it).
+
+        The inverse of :meth:`invalidate`: rollback re-points a mapping
+        entry at a superseded old version, which makes that physical page
+        the live copy again.  A FREE page cannot be revalidated — the old
+        version would have been erased, which pinning exists to prevent.
+        """
+        self._check_ppa(ppa)
+        state = self.states[ppa]
+        if state is _VALID:
+            return
+        if state is _FREE:
+            raise ProgramError(f"cannot revalidate PPA {ppa}: it was erased")
+        self.states[ppa] = _VALID
+        global_block = ppa // self._pages_per_block
+        self._blocks[global_block].valid_count += 1
         if self.block_listener is not None:
             self.block_listener(global_block)
 
     def erase(self, global_block: int) -> None:
-        """Erase a global block.
+        """Erase a global block, freeing every page.
 
-        With a fault injector attached, the erase may fail its verify
-        step: the block is marked bad and
-        :class:`~repro.errors.EraseError` is raised — the grown-bad-block
-        path the FTL already survives for natural wear-out.
+        Erasing a block that still holds valid pages is an FTL bug, so it
+        is rejected rather than silently losing data.  A failed erase
+        raises :class:`~repro.errors.EraseError` and is charged like a
+        real one: an injected verify failure (with a fault injector
+        attached) or natural wear-out (``fail_next_erase``) marks the
+        block bad — the grown-bad-block path the FTL survives.
         """
         block = self.block(global_block)
-        counters = self._chips[global_block // self._blocks_per_chip].counters
         if self.faults is not None and self.faults.on_erase(global_block):
-            block.mark_bad()
+            block.is_bad = True
+            failure = (f"erase verify failed on block {global_block} "
+                       f"(injected wear-out)")
+        elif block.valid_count > 0:
+            failure = (f"block {global_block} still holds "
+                       f"{block.valid_count} valid pages")
+        elif block.is_bad:
+            failure = f"block {global_block} is marked bad"
+        elif block.fail_next_erase:
+            block.fail_next_erase = False
+            block.is_bad = True
+            failure = "erase verify failed; block has worn out"
+        else:
+            failure = None
+        counters = self._chips[global_block // self._blocks_per_chip].counters
+        if failure is None:
+            # Pages past the write pointer are already erased.
+            count = block.write_pointer
+            start = global_block * self._pages_per_block
+            stop = start + count
+            self.states[start:stop] = [_FREE] * count
+            self.lbas[start:stop] = [None] * count
+            self.written_at[start:stop] = [0.0] * count
+            self.payloads[start:stop] = [None] * count
+            block.write_pointer = 0
+            block.erase_count += 1
+            block.reads_since_erase = 0
+            counters.erases += 1
+        else:
+            # Failed erases go in one ledger, so SMART sees one
+            # consistent counter for injected and natural wear-out.
             self.reliability.erase_fails += 1
             counters.erase_fails += 1
-            self.busy_time += self.latencies.block_erase
-            self.busy_breakdown.block_erase += self.latencies.block_erase
-            if self.block_listener is not None:
-                self.block_listener(global_block)
-            raise EraseError(
-                f"erase verify failed on block {global_block} (injected wear-out)"
-            )
-        try:
-            block.erase()
-        except EraseError:
-            # Natural wear-out (fail_next_erase): account it like an
-            # injected failure so SMART sees one consistent counter.
-            self.reliability.erase_fails += 1
-            counters.erase_fails += 1
-            self.busy_time += self.latencies.block_erase
-            self.busy_breakdown.block_erase += self.latencies.block_erase
-            if self.block_listener is not None:
-                self.block_listener(global_block)
-            raise
-        counters.erases += 1
         self.busy_time += self.latencies.block_erase
         self.busy_breakdown.block_erase += self.latencies.block_erase
         if self.block_listener is not None:
             self.block_listener(global_block)
+        if failure is not None:
+            raise EraseError(failure)
 
     # -- accounting -------------------------------------------------------
 
     def count_pages(self, state: PageState) -> int:
         """Count pages in a given state across the whole array."""
-        total = 0
-        for block in self._blocks:
-            if state is PageState.FREE:
-                total += block.free_pages
-            elif state is PageState.VALID:
-                total += block.valid_count
-            else:
-                total += block.invalid_count
-        return total
+        return self.states.count(state)
 
     def total_erases(self) -> int:
         """Total block erases performed so far."""

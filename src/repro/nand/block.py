@@ -1,23 +1,19 @@
-"""Erase block model.
+"""Erase block counters and the page vocabulary.
 
-A block enforces the two NAND rules the FTL must design around:
-
-* pages are programmed sequentially within a block and never reprogrammed
-  without an erase (out-of-place update), and
-* an erase wipes the whole block at once (delayed deletion of old data).
-
-Each page carries opaque payload plus out-of-band (OOB) metadata — the LBA it
-was written for and the write timestamp — which real FTLs also store in the
-page spare area and which the recovery path uses.
+The NAND rules the FTL must design around — pages are programmed
+sequentially within a block and never reprogrammed without an erase
+(out-of-place update), and an erase wipes the whole block at once (delayed
+deletion of old data) — are enforced by
+:class:`~repro.nand.array.NandArray`, which keeps every page's state,
+payload and out-of-band (OOB) record (the LBA it was written for and the
+write timestamp) in flat per-PPA lists.  A :class:`Block` holds only the
+per-block counters those rules need.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional
-
-from repro.errors import EraseError, ProgramError, ReadError
+from typing import NamedTuple, Optional
 
 
 class PageState(enum.Enum):
@@ -28,39 +24,36 @@ class PageState(enum.Enum):
     INVALID = "invalid"  #: superseded by a newer write; awaiting erase
 
 
-@dataclass
-class PageInfo:
-    """Out-of-band metadata for one physical page."""
+class PageInfo(NamedTuple):
+    """A snapshot of one physical page: state, OOB record and payload."""
 
-    state: PageState = PageState.FREE
-    lba: Optional[int] = None
-    written_at: float = 0.0
-    payload: Optional[bytes] = None
+    state: PageState
+    lba: Optional[int]
+    written_at: float
+    payload: Optional[bytes]
 
 
-@dataclass
 class Block:
-    """One erase block: a write pointer over ``num_pages`` pages."""
+    """One erase block's counters: a write pointer over ``num_pages`` pages."""
 
-    num_pages: int
-    pages: List[PageInfo] = field(default_factory=list)
-    write_pointer: int = 0
-    erase_count: int = 0
-    valid_count: int = 0
-    #: Worn-out flag: set when an erase fails; the FTL retires the block.
-    is_bad: bool = False
-    #: Fault injection: the next erase attempt fails and marks the block
-    #: bad (how real blocks die — erase/program verify errors).
-    fail_next_erase: bool = False
-    #: Reads served since the last erase.  NAND cells leak charge under
-    #: repeated reads of neighbouring pages (read disturb); firmware must
-    #: rewrite ("scrub") a block before the count crosses the chip's
-    #: tolerated limit.
-    reads_since_erase: int = 0
+    __slots__ = ("num_pages", "write_pointer", "valid_count", "erase_count",
+                 "is_bad", "fail_next_erase", "reads_since_erase")
 
-    def __post_init__(self) -> None:
-        if not self.pages:
-            self.pages = [PageInfo() for _ in range(self.num_pages)]
+    def __init__(self, num_pages: int) -> None:
+        self.num_pages = num_pages
+        self.write_pointer = 0
+        self.valid_count = 0
+        self.erase_count = 0
+        #: Worn-out flag: set when an erase fails; the FTL retires the block.
+        self.is_bad = False
+        #: Fault injection: the next erase attempt fails and marks the block
+        #: bad (how real blocks die — erase/program verify errors).
+        self.fail_next_erase = False
+        #: Reads served since the last erase.  NAND cells leak charge under
+        #: repeated reads of neighbouring pages (read disturb); firmware
+        #: must rewrite ("scrub") a block before the count crosses the
+        #: chip's tolerated limit.
+        self.reads_since_erase = 0
 
     @property
     def is_full(self) -> bool:
@@ -81,104 +74,3 @@ class Block:
     def invalid_count(self) -> int:
         """Programmed pages that no longer hold live data."""
         return self.write_pointer - self.valid_count
-
-    def program(self, lba: int, timestamp: float, payload: Optional[bytes] = None) -> int:
-        """Program the next page; returns the page index within the block."""
-        if self.is_bad:
-            raise ProgramError("block is marked bad")
-        if self.is_full:
-            raise ProgramError(f"block full ({self.num_pages} pages programmed)")
-        index = self.write_pointer
-        page = self.pages[index]
-        page.state = PageState.VALID
-        page.lba = lba
-        page.written_at = timestamp
-        page.payload = payload
-        self.write_pointer += 1
-        self.valid_count += 1
-        return index
-
-    def read(self, page_index: int) -> PageInfo:
-        """Read a programmed page's metadata/payload."""
-        if not (0 <= page_index < self.num_pages):
-            raise ReadError(f"page {page_index} out of range [0, {self.num_pages})")
-        page = self.pages[page_index]
-        if page.state is PageState.FREE:
-            raise ReadError(f"page {page_index} has not been programmed")
-        self.reads_since_erase += 1
-        return page
-
-    def burn(self, page_index: int) -> None:
-        """Write off a just-programmed page whose program verify failed.
-
-        The page is consumed (the write pointer stays advanced — NAND
-        cannot reprogram it without an erase) but holds garbage: it is
-        marked INVALID with its out-of-band record cleared, so neither
-        reads nor a power-loss rebuild will ever trust it.
-        """
-        page = self.pages[page_index]
-        if page.state is not PageState.VALID:
-            raise ProgramError(
-                f"cannot burn page {page_index} in state {page.state.value}"
-            )
-        page.state = PageState.INVALID
-        page.lba = None
-        page.written_at = 0.0
-        page.payload = None
-        self.valid_count -= 1
-
-    def mark_bad(self) -> None:
-        """Permanently flag the block bad (factory map-out or grown)."""
-        self.is_bad = True
-
-    def invalidate(self, page_index: int) -> None:
-        """Mark a valid page as superseded."""
-        page = self.pages[page_index]
-        if page.state is not PageState.VALID:
-            raise ProgramError(
-                f"cannot invalidate page {page_index} in state {page.state.value}"
-            )
-        page.state = PageState.INVALID
-        self.valid_count -= 1
-
-    def revalidate(self, page_index: int) -> None:
-        """Bring an invalid page back to VALID (rollback restoring it).
-
-        The inverse of :meth:`invalidate`: rollback re-points a mapping
-        entry at a superseded old version, which makes that physical page
-        the live copy again.  A FREE page cannot be revalidated — the old
-        version would have been erased, which pinning exists to prevent.
-        """
-        page = self.pages[page_index]
-        if page.state is PageState.VALID:
-            return
-        if page.state is PageState.FREE:
-            raise ProgramError(
-                f"cannot revalidate page {page_index}: it was erased"
-            )
-        page.state = PageState.VALID
-        self.valid_count += 1
-
-    def erase(self) -> None:
-        """Erase the whole block, freeing every page.
-
-        Erasing a block that still holds valid pages is an FTL bug, so it is
-        rejected here rather than silently losing data.  A block whose
-        erase fails (wear-out) raises and becomes permanently bad.
-        """
-        if self.valid_count > 0:
-            raise EraseError(f"block still holds {self.valid_count} valid pages")
-        if self.is_bad:
-            raise EraseError("block is marked bad")
-        if self.fail_next_erase:
-            self.fail_next_erase = False
-            self.is_bad = True
-            raise EraseError("erase verify failed; block has worn out")
-        for page in self.pages:
-            page.state = PageState.FREE
-            page.lba = None
-            page.written_at = 0.0
-            page.payload = None
-        self.write_pointer = 0
-        self.erase_count += 1
-        self.reads_since_erase = 0

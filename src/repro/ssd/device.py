@@ -32,7 +32,6 @@ from repro.errors import (
 from repro.faults.injector import FaultInjector
 from repro.ftl.insider import InsiderFTL, RollbackReport
 from repro.nand.array import NandArray
-from repro.nand.block import PageInfo
 from repro.obs import Observability
 from repro.ssd.config import SSDConfig
 from repro.units import BLOCK_SIZE
@@ -655,13 +654,12 @@ class SimulatedSSD:
 
     def _read_block(self, lba: int) -> bytes:
         """One block's data; unmapped and lost blocks read as zeroes."""
-        page = self._read_run(lba, 1)
-        if page is None or page.payload is None:
-            return bytes(BLOCK_SIZE)
-        return page.payload
+        ppa = self._read_run(lba, 1)
+        payload = None if ppa is None else self.nand.payloads[ppa]
+        return bytes(BLOCK_SIZE) if payload is None else payload
 
-    def _read_run(self, lba: int, length: int) -> Optional[PageInfo]:
-        """Serve a read of ``length`` blocks; returns the last block's page.
+    def _read_run(self, lba: int, length: int) -> Optional[int]:
+        """Serve a read of ``length`` blocks; returns the last block's PPA.
 
         One FTL call per span, plus one more after each block lost to the
         media: a lost block is counted — and raises the media alarm — in
@@ -669,9 +667,9 @@ class SimulatedSSD:
         """
         stats = self.stats
         now = self.clock.now
-        page = None
+        ppa = None
         while length:
-            done, unmapped, error, page = self.ftl.read_span(lba, length, now)
+            done, unmapped, error, ppa = self.ftl.read_span(lba, length, now)
             stats.reads += done
             if unmapped:
                 stats.unmapped_reads += unmapped
@@ -681,7 +679,7 @@ class SimulatedSSD:
                                     lba=lba + done - 1, retries=error.retries)
             lba += done
             length -= done
-        return page
+        return ppa
 
     def _write_run(self, lba: int, length: int,
                    payload: Optional[bytes]) -> None:

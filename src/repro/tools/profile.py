@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the JSON report to FILE")
     parser.add_argument("--check", action="store_true",
                         help="fail (exit 1) unless attribution coverage "
-                             f">= {COVERAGE_FLOOR:.0%}")
+                             f">= {COVERAGE_FLOOR * 100:.0f}%%")
     return parser
 
 

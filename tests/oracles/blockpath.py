@@ -44,7 +44,8 @@ class BlockPathFTL(InsiderFTL):
         if ppa is None:
             raise UnmappedReadError(f"LBA {lba} has never been written")
         self.stats.host_reads += 1
-        return self.nand.read(ppa)
+        self.nand.read(ppa)
+        return self.nand.page(ppa)
 
     def write(self, lba: int, timestamp: float = 0.0,
               payload: Optional[bytes] = None) -> int:

@@ -41,7 +41,7 @@ def select_victim(
             continue
         score = score_block(
             policy, reclaimable, pages, block.erase_count,
-            block_newest(block), now,
+            block_newest(nand, global_block), now,
         )
         if score > best_score:
             best_score = score
@@ -52,10 +52,8 @@ def select_victim(
 def _count_pinned(
     nand: NandArray, global_block: int, is_pinned: Callable[[int], bool]
 ) -> int:
-    block = nand.block(global_block)
     count = 0
     for ppa in nand.block_ppa_range(global_block):
-        page = block.pages[ppa % nand.geometry.pages_per_block]
-        if page.state is PageState.INVALID and is_pinned(ppa):
+        if nand.states[ppa] is PageState.INVALID and is_pinned(ppa):
             count += 1
     return count

@@ -82,7 +82,7 @@ class TestFtlRetirement:
                 ftl.write(lba, 1.0 + 0.1 * round_number, b"new")
         ftl.rollback(now=2.0)
         for lba, ppa in ftl.mapping.items():
-            assert ftl.nand.read(ppa).lba == lba
+            assert ftl.nand.lbas[ppa] == lba
 
     def test_capacity_shrinks_until_out_of_space(self):
         """Killing every erase eventually exhausts the device — with an

@@ -127,12 +127,11 @@ def _snapshot(device):
                            ftl.queue.depth_peak),
         "blocks": [
             (block.write_pointer, block.valid_count, block.erase_count,
-             block.is_bad, block.reads_since_erase,
-             [(page.state, page.lba, page.written_at, page.payload)
-              for page in block.pages])
+             block.is_bad, block.reads_since_erase)
             for block in (nand.block(index)
                           for index in range(nand.num_blocks))
         ],
+        "pages": (nand.states, nand.lbas, nand.written_at, nand.payloads),
         "chips": [nand.chip(index).counters
                   for index in range(nand.geometry.num_chips)],
         "busy": (nand.busy_time, nand.busy_breakdown),
@@ -197,9 +196,10 @@ def _ftl_state(ftl):
         [(e.lba, e.old_ppa, e.new_ppa, e.timestamp) for e in ftl.queue],
         sorted(ftl.queue._pinned),
         [(block.write_pointer, block.valid_count, block.erase_count,
-          block.is_bad, [page.state for page in block.pages])
+          block.is_bad)
          for block in (ftl.nand.block(index)
                        for index in range(ftl.nand.num_blocks))],
+        ftl.nand.states,
         ftl.allocator.free_blocks,
         ftl.allocator.host_active,
     )
@@ -239,9 +239,9 @@ def test_spans_under_program_faults_match_the_loop(seed, monkeypatch):
     landed = []
     program_many = NandArray.program_many
 
-    def recording_program_many(self, global_block, pages):
+    def recording_program_many(self, global_block, *pages):
         try:
-            return program_many(self, global_block, pages)
+            return program_many(self, global_block, *pages)
         except ProgramFailError as exc:
             landed.append(exc.landed)
             raise

@@ -104,7 +104,7 @@ class TestRollbackUnderQueueStarvation:
         ftl.rollback(now=101.0)
         for lba, ppa in ftl.mapping.items():
             assert nand.page_state(ppa) is PageState.VALID
-            assert nand.read(ppa).lba == lba
+            assert nand.lbas[ppa] == lba
         # The last 6 logged changes were recoverable; all restored blocks
         # carry their old payloads.
         restored = [lba for lba in range(20)

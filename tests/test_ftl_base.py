@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.errors import ConfigError, OutOfSpaceError, UnmappedReadError
+from repro.errors import (
+    AddressError,
+    ConfigError,
+    OutOfSpaceError,
+    UnmappedReadError,
+)
 from repro.ftl.conventional import ConventionalFTL
 from repro.ftl.gc import GcPolicy
 from repro.nand.array import NandArray
@@ -64,6 +69,28 @@ class TestBasicIo:
         with pytest.raises(UnmappedReadError):
             ftl.read(3, timestamp=10.0)
         assert ftl._last_timestamp == 60.25
+
+    def test_rejected_read_span_leaves_clock(self):
+        """Regression: ``read_span`` moved the GC aging clock before its
+        range check, so a rejected read still aged every block."""
+        ftl = small_ftl()
+        ftl.write(3, 1.0)
+        with pytest.raises(AddressError):
+            ftl.read_span(ftl.num_lbas, 1, 500.0)
+        with pytest.raises(AddressError):
+            ftl.read_span(ftl.num_lbas - 1, 2, 500.0)
+        assert ftl._last_timestamp == 1.0
+        assert ftl.stats.host_reads == 0
+
+    def test_rejected_trim_leaves_clock(self):
+        """Regression: ``trim`` moved the GC aging clock before its range
+        check."""
+        ftl = small_ftl()
+        ftl.write(3, 1.0)
+        with pytest.raises(AddressError):
+            ftl.trim(ftl.num_lbas, 900.0)
+        assert ftl._last_timestamp == 1.0
+        assert ftl.stats.host_trims == 0
 
     def test_invalid_op_ratio(self):
         nand = NandArray(NandGeometry.tiny())
@@ -136,7 +163,7 @@ class TestGarbageCollection:
         # Every mapped PPA must be VALID and carry the right LBA.
         for lba, ppa in ftl.mapping.items():
             assert ftl.nand.page_state(ppa) is PageState.VALID
-            assert ftl.nand.read(ppa).lba == lba
+            assert ftl.nand.lbas[ppa] == lba
 
     def test_utilization(self):
         ftl = small_ftl()

@@ -132,7 +132,7 @@ class TestRollback:
         ftl.rollback(now=101.0)
         for lba, ppa in ftl.mapping.items():
             assert ftl.nand.page_state(ppa) is PageState.VALID
-            assert ftl.nand.read(ppa).lba == lba
+            assert ftl.nand.lbas[ppa] == lba
 
     def test_report_counts(self):
         ftl = make_ftl()

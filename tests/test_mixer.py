@@ -1,7 +1,10 @@
 """Time-ordered stream merging."""
 
+import hashlib
+
 from repro.blockdev.mixer import merge_streams
 from repro.blockdev.request import read
+from repro.tools.profile import GOLDEN_SEED, golden_scenario
 
 
 class TestMergeStreams:
@@ -46,3 +49,31 @@ class TestMergeStreams:
         merged = list(merge_streams([generator(0.0), generator(0.5)]))
         assert len(merged) == 6
         assert merged == sorted(merged, key=lambda r: r.time)
+
+    def test_tied_timestamps_come_out_in_stream_order(self):
+        # Every stream ties with every other at each instant; requests are
+        # never compared, and each tie comes out lowest stream first.
+        streams = [
+            [read(float(t), 10 * t + index, source=str(index))
+             for t in range(3)]
+            for index in range(4)
+        ]
+        merged = list(merge_streams(streams))
+        assert [(r.time, r.source) for r in merged] == [
+            (float(t), str(index)) for t in range(3) for index in range(4)
+        ]
+
+
+def test_scenario_trace_unchanged():
+    """The golden scenario's merged trace, request for request."""
+    run = golden_scenario(duration=20.0).build(seed=GOLDEN_SEED,
+                                               duration=20.0)
+    digest = hashlib.sha256()
+    sources = {}
+    for request in run.trace:
+        digest.update(repr((request.time, request.lba, request.length,
+                            request.mode.value, request.source)).encode())
+        sources[request.source] = sources.get(request.source, 0) + 1
+    assert sources == {"cloudstorage": 120, "wannacry": 4122}
+    assert digest.hexdigest() == (
+        "1ecd25fad68941e42f6526cc728f63370d4791e7dce8ec1827be32a6683af43b")

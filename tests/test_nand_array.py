@@ -36,11 +36,14 @@ class TestArrayOperations:
         ppa = tiny_nand.program(global_block=1, lba=7, timestamp=1.0)
         assert ppa == tiny_nand.geometry.pages_per_block
 
-    def test_read_returns_oob(self, tiny_nand):
+    def test_page_returns_oob(self, tiny_nand):
         ppa = tiny_nand.program(0, 42, 2.0, payload=b"data")
-        info = tiny_nand.read(ppa)
+        tiny_nand.read(ppa)
+        info = tiny_nand.page(ppa)
         assert info.lba == 42
         assert info.payload == b"data"
+        # A snapshot is not a device read.
+        assert tiny_nand.block(0).reads_since_erase == 1
 
     def test_invalidate_and_state(self, tiny_nand):
         ppa = tiny_nand.program(0, 1, 0.0)
@@ -109,7 +112,7 @@ class TestAddressBounds:
         with pytest.raises(AddressError):
             tiny_nand.program(global_block, 5, 1.0)
         with pytest.raises(AddressError):
-            tiny_nand.program_many(global_block, [(5, 1.0, None)])
+            tiny_nand.program_many(global_block, [5], [1.0], [None])
         with pytest.raises(AddressError):
             tiny_nand.erase(global_block)
         # Nothing was programmed or erased anywhere.
@@ -123,7 +126,7 @@ class TestAddressBounds:
         last = tiny_nand.num_blocks - 1
         for _ in range(tiny_nand.geometry.pages_per_block):
             tiny_nand.program(last, 5, 1.0)
-        operations = (tiny_nand.read, tiny_nand.page_state,
+        operations = (tiny_nand.read, tiny_nand.page, tiny_nand.page_state,
                       tiny_nand.invalidate, tiny_nand.revalidate,
                       lambda p: tiny_nand.invalidate_many([p]))
         for operation in operations:

@@ -80,11 +80,12 @@ class TestReadRetryLoop:
         array.program(0, lba=1, timestamp=0.0, payload=b"x")
         busy_before = array.busy_time
         reads_before = array.chip(0).counters.reads
-        info = array.read(0)
-        assert info.lba == 1
+        array.read(0)
+        assert array.page(0).lba == 1
         # The original read plus two real retry reads (read disturb and
         # latency both accrue on retries).
         assert array.chip(0).counters.reads == reads_before + 3
+        assert array.block(0).reads_since_erase == 3
         assert array.reliability.read_retries == 2
         assert array.reliability.corrected_reads == 1
         assert array.reliability.uncorrectable_reads == 0
@@ -126,7 +127,7 @@ class TestProgramFail:
         assert ppa in array.block_ppa_range(2)
         # The page is consumed but holds nothing readable.
         assert array.page_state(ppa) is PageState.INVALID
-        page = array.block(2).pages[ppa % GEOMETRY.pages_per_block]
+        page = array.page(ppa)
         assert page.lba is None and page.payload is None
         assert array.reliability.program_fails == 1
         assert array.chip(0).counters.program_fails == 1

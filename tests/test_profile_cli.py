@@ -72,6 +72,14 @@ class TestProfileCli:
             profile.main(["--scenario", "no-such-scenario"])
         assert excinfo.value.code == 2
 
+    def test_help_renders(self, capsys):
+        """Regression: the ``--check`` help held a bare ``%`` and
+        ``--help`` crashed with ``ValueError: incomplete format``."""
+        with pytest.raises(SystemExit) as excinfo:
+            profile.main(["--help"])
+        assert excinfo.value.code == 0
+        assert "coverage >= 95%" in capsys.readouterr().out
+
 
 class TestReportMeta:
     def test_meta_has_provenance_fields(self):
