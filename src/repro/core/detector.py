@@ -19,7 +19,7 @@ from repro.core.features import FeatureVector, compute_features
 from repro.core.id3 import DecisionTree
 from repro.core.score import ScoreTracker
 from repro.core.window import SliceStats, SlidingWindow
-from repro.obs import Observability
+from repro.obs.probe import NULL_PROBE, Probe
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,10 @@ class RansomwareDetector:
             most recent ``max_history`` entries (drop-oldest ring;
             :attr:`dropped_events` counts evictions) so always-on history
             in long sweeps cannot grow without bound.
-        obs: Observability bundle; when enabled, every closed slice emits
-            a ``detector.slice`` instant (feature values + verdict +
-            score) and the verdict/score metrics update.  When the bundle
-            carries a :class:`~repro.obs.flightrec.FlightRecorder`, every
-            closed slice is also attributed (exact ID3 tree path +
-            margins) into its ring — recording only, never behaviour:
-            the event stream stays bit-identical to an un-observed run.
+        probe: Where every closed slice and fast-forwarded gap is
+            published (the device passes its own); the shared null probe
+            by default.  Publishing only records, never steers: the
+            event stream is identical whatever listens.
     """
 
     def __init__(
@@ -65,7 +62,7 @@ class RansomwareDetector:
         on_alarm: Optional[Callable[[DetectionEvent], None]] = None,
         keep_history: bool = True,
         max_history: Optional[int] = None,
-        obs: Optional[Observability] = None,
+        probe: Probe = NULL_PROBE,
     ) -> None:
         self.config = config or DetectorConfig()
         if tree is None:
@@ -75,29 +72,7 @@ class RansomwareDetector:
         self.tree = tree
         self.on_alarm = on_alarm
         self.keep_history = keep_history
-        self.obs = obs if obs is not None else Observability.off()
-        self._m_slices = None
-        self._m_score = None
-        self._m_alarms = None
-        if self.obs.enabled:
-            metrics = self.obs.metrics
-            self._m_slices = metrics.counter(
-                "detector_slices_total",
-                "Closed time slices, by tree verdict.",
-                labelnames=("verdict",),
-            )
-            self._m_score = metrics.gauge(
-                "detector_score",
-                "Current sliding-window score (0..window size).",
-            )
-            self._m_alarms = metrics.counter(
-                "detector_alarms_total", "Alarms raised."
-            )
-        self._fr = self.obs.flightrec
-        if self._fr is not None:
-            # The recorder classifies near-misses against this detector's
-            # own operating point, not its construction-time default.
-            self._fr.attribution.threshold = self.config.threshold
+        self.probe = probe
         self.table = CountingTable()
         self.window = SlidingWindow(self.config.window_slices)
         self.scores = ScoreTracker(self.config.window_slices)
@@ -217,25 +192,10 @@ class RansomwareDetector:
                 for index in range(current.index, target_slice)
             )
             self._events_recorded += skipped
-        if self._fr is not None:
-            self._fr.attribution.record_repeat(
-                self.tree, features.as_dict(), features.as_tuple(),
-                verdict, score, alarm,
-                first_index=current.index, count=skipped,
-                slice_duration=self.config.slice_duration,
-            )
         self.window.fill_idle(last_index=target_slice - 1)
         self.fast_forwarded_slices += skipped
-        if self.obs.enabled:
-            self._m_slices.inc(skipped, verdict=verdict)
-            self._m_score.set(score)
-            tracer = self.obs.tracer
-            if tracer.enabled:
-                tracer.instant(
-                    "detector.fast_forward", category="detector",
-                    sim_time=target_slice * self.config.slice_duration,
-                    slices=skipped, verdict=verdict, score=score,
-                )
+        self.probe.slices_skipped(self, features, verdict, score, alarm,
+                                  current.index, skipped)
         self._current = SliceStats(index=target_slice)
         return True
 
@@ -257,32 +217,9 @@ class RansomwareDetector:
         if self.keep_history:
             self.events.append(event)
             self._events_recorded += 1
-        if self._fr is not None:
-            # Attribute before the alarm hook runs: the incident snapshot
-            # cut by the hook must already see the alarming slice's path.
-            self._fr.attribution.record(
-                self.tree, features.as_dict(), features.as_tuple(),
-                event.time, closed.index, verdict, score, alarm,
-            )
-        if self.obs.enabled:
-            self._m_slices.inc(verdict=verdict)
-            self._m_score.set(score)
-            tracer = self.obs.tracer
-            if tracer.enabled:
-                tracer.instant(
-                    "detector.slice", category="detector",
-                    sim_time=event.time, slice_index=closed.index,
-                    verdict=verdict, score=score, **features.as_dict(),
-                )
+        self.probe.slice_closed(self, event)
         if alarm and self.alarm_event is None:
             self.alarm_event = event
-            if self.obs.enabled:
-                self._m_alarms.inc()
-                self.obs.tracer.instant(
-                    "detector.alarm", category="detector",
-                    sim_time=event.time, slice_index=closed.index,
-                    score=score, threshold=self.config.threshold,
-                )
             if self.on_alarm is not None:
                 self.on_alarm(event)
         # After the push the window spans slices [next - N, closed.index];

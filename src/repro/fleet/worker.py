@@ -100,26 +100,17 @@ def build_device(
     guarantee holds: the armed replay takes identical decisions, so the
     device record bytes never change.
     """
-    want_tracer = emitter is not None and emitter.timeline
-    want_metrics = emitter is not None and emitter.metrics
-    tracer: Optional[EventTracer] = None
-    if want_tracer:
-        tracer = EventTracer(
-            max_events=emitter.timeline_events,  # type: ignore[union-attr]
-            drop_oldest=True,
-        )
-    elif flight:
-        # Preserve the pre-telemetry flight bundle (full tracer+metrics,
-        # what Observability.on(flight=...) built) so incident bundles
-        # keep their contents.
-        tracer = EventTracer()
+    timeline = emitter is not None and emitter.timeline
+    metrics = flight or (emitter is not None and emitter.metrics)
     obs: Optional[Observability] = None
-    if flight or want_tracer or want_metrics:
+    if timeline or metrics:
         obs = Observability(
-            tracer=tracer,
-            metrics=(
-                MetricsRegistry() if (want_metrics or flight) else None
-            ),
+            # A flight bundle keeps the full trace, as
+            # Observability.on(flight=...) does.
+            tracer=(EventTracer(max_events=emitter.timeline_events,
+                                drop_oldest=True) if timeline
+                    else EventTracer() if flight else None),
+            metrics=MetricsRegistry() if metrics else None,
             flightrec=FlightRecorder() if flight else None,
         )
     return SimulatedSSD(
@@ -231,8 +222,8 @@ def _run_device_impl(
         include_ransomware=not spec.benign,
     )
     device = build_device(plan, flight=flight, emitter=emitter)
-    if device.fr is not None:
-        device.fr.set_context(
+    if flight:
+        device.obs.flightrec.set_context(
             device_id=spec.device_id,
             scenario=spec.scenario,
             seed=spec.seed,

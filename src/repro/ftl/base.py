@@ -27,7 +27,7 @@ from repro.ftl.stats import FtlStats
 from repro.ftl.victim_index import VictimIndex
 from repro.nand.array import NandArray
 from repro.nand.block import PageInfo, PageState
-from repro.obs import Observability
+from repro.obs.probe import NULL_PROBE, Probe
 
 
 class PageMappedFTL:
@@ -38,8 +38,8 @@ class PageMappedFTL:
         op_ratio: Over-provisioning ratio; the logical space exposed to the
             host is ``pages_total * (1 - op_ratio)`` blocks.
         gc_policy: Trigger/target free-block thresholds for GC.
-        obs: Observability bundle (GC spans, victim instants, page-copy
-            counters); disabled by default.
+        probe: Where GC passes, victims, page copies, erases and block
+            retirements are published; the shared null probe by default.
     """
 
     def __init__(
@@ -47,7 +47,7 @@ class PageMappedFTL:
         nand: NandArray,
         op_ratio: float = 0.125,
         gc_policy: Optional[GcPolicy] = None,
-        obs: Optional[Observability] = None,
+        probe: Probe = NULL_PROBE,
     ) -> None:
         if not (0.0 < op_ratio < 1.0):
             raise ConfigError(f"op_ratio must be in (0, 1), got {op_ratio}")
@@ -81,20 +81,7 @@ class PageMappedFTL:
         self.victim_index = VictimIndex(nand)
         nand.block_listener = self.victim_index.note
         self.stats = FtlStats()
-        self.obs = obs if obs is not None else Observability.off()
-        self._m_gc_copies = None
-        self._m_erases = None
-        if self.obs.armed_metrics:
-            metrics = self.obs.metrics
-            self._m_gc_copies = metrics.counter(
-                "ftl_gc_page_copies_total",
-                "Pages relocated by garbage collection, by kind "
-                "(valid = live data, pinned = recovery-queue old versions).",
-                labelnames=("kind",),
-            )
-            self._m_erases = metrics.counter(
-                "ftl_erases_total", "Block erases completed."
-            )
+        self.probe = probe
         self._last_timestamp = 0.0
         #: Optional static wear leveler (attach_wear_leveling()); checked
         #: after each GC round.
@@ -344,18 +331,8 @@ class PageMappedFTL:
             self.stats.retirement_copies += moved
             self.nand.block(global_block).is_bad = True
             self.stats.bad_blocks += 1
-            if self.obs.armed_tracer and self.obs.tracer.enabled:
-                self.obs.tracer.instant(
-                    "ftl.block_retired", category="reliability",
-                    sim_time=self._last_timestamp, block=global_block,
-                    pages_moved=moved,
-                )
-            fr = self.obs.flightrec
-            if fr is not None:
-                fr.record_event(
-                    "block_retired", self._last_timestamp,
-                    block=global_block, pages_moved=moved,
-                )
+            self.probe.block_retired(self, global_block, moved,
+                                     self._last_timestamp)
         finally:
             self._retiring.discard(global_block)
 
@@ -385,42 +362,23 @@ class PageMappedFTL:
 
     def collect_garbage(self) -> int:
         """Run GC until the free pool exceeds the target; returns erases done."""
-        if not (self.obs.armed_tracer or self.obs.flightrec is not None):
-            return self._collect_garbage()
-        before_copies = self.stats.gc_page_copies
-        before_pinned = self.stats.gc_pinned_copies
-        with self.obs.tracer.span("ftl.gc", category="gc") as span:
+        self.probe.gc_started(self)
+        erased = None
+        try:
             erased = self._collect_garbage()
-            span.set("erased", erased)
-            span.set("page_copies",
-                     self.stats.gc_page_copies - before_copies)
-            span.set("pinned_copies",
-                     self.stats.gc_pinned_copies - before_pinned)
-        fr = self.obs.flightrec
-        if fr is not None and erased:
-            fr.record_event(
-                "gc", self._last_timestamp, erased=erased,
-                page_copies=self.stats.gc_page_copies - before_copies,
-                pinned_copies=self.stats.gc_pinned_copies - before_pinned,
-            )
-        return erased
+            return erased
+        finally:
+            self.probe.gc_finished(self, erased, self._last_timestamp)
 
     def _collect_garbage(self) -> int:
         erased = 0
-        tracer = self.obs.tracer
         while self.allocator.free_blocks <= self.gc_policy.target_free_blocks:
             victim = self.victim_index.select(
                 self._gc_candidate,
                 policy=self.gc_policy.victim_policy,
                 now=self._last_timestamp,
             )
-            if victim is not None and tracer.enabled:
-                block = self.nand.block(victim)
-                tracer.instant(
-                    "ftl.gc_victim", category="gc",
-                    sim_time=self._last_timestamp, block=victim,
-                    valid=block.valid_count, invalid=block.invalid_count,
-                )
+            self.probe.gc_victim(self, victim, self._last_timestamp)
             if victim is None or not self._can_complete(victim):
                 # Either nothing is reclaimable yet, or relocating the best
                 # victim would exhaust the pool mid-copy.  Give the host a
@@ -563,11 +521,7 @@ class PageMappedFTL:
         moved = len(survivors)
         self.stats.gc_page_copies += moved
         self.stats.gc_pinned_copies += pinned_moves
-        if self._m_gc_copies is not None:
-            if moved > pinned_moves:
-                self._m_gc_copies.inc(moved - pinned_moves, kind="valid")
-            if pinned_moves:
-                self._m_gc_copies.inc(pinned_moves, kind="pinned")
+        self.probe.pages_copied(moved - pinned_moves, pinned_moves)
 
     def _erase_victim(self, victim: int) -> None:
         """Erase a fully-relocated victim, surviving natural wear-out."""
@@ -583,8 +537,7 @@ class PageMappedFTL:
             self.stats.bad_blocks += 1
             return
         self.stats.erases += 1
-        if self._m_erases is not None:
-            self._m_erases.inc()
+        self.probe.block_erased()
         self.allocator.release(victim)
 
     def _copy_valid_page(self, ppa: int) -> None:
@@ -598,8 +551,7 @@ class PageMappedFTL:
         self.mapping.update(lba, new_ppa)
         self.nand.invalidate(ppa)
         self.stats.gc_page_copies += 1
-        if self._m_gc_copies is not None:
-            self._m_gc_copies.inc(kind="valid")
+        self.probe.pages_copied(1, 0)
 
     def _copy_pinned_page(self, ppa: int) -> None:
         nand = self.nand
@@ -611,8 +563,7 @@ class PageMappedFTL:
         self._on_pinned_moved(ppa, new_ppa)
         self.stats.gc_page_copies += 1
         self.stats.gc_pinned_copies += 1
-        if self._m_gc_copies is not None:
-            self._m_gc_copies.inc(kind="pinned")
+        self.probe.pages_copied(0, 1)
 
     # -- power-loss recovery ------------------------------------------------
 

@@ -22,7 +22,7 @@ from repro.ftl.gc import GcPolicy
 from repro.ftl.recovery_queue import BackupEntry, RecoveryQueue
 from repro.nand.array import NandArray
 from repro.nand.block import PageState
-from repro.obs import Observability
+from repro.obs.probe import NULL_PROBE, Probe
 
 
 @dataclass
@@ -53,10 +53,10 @@ class InsiderFTL(PageMappedFTL):
         gc_policy: Optional[GcPolicy] = None,
         retention: float = 10.0,
         queue_capacity: Optional[int] = None,
-        obs: Optional[Observability] = None,
+        probe: Probe = NULL_PROBE,
     ) -> None:
         super().__init__(nand, op_ratio=op_ratio, gc_policy=gc_policy,
-                         obs=obs)
+                         probe=probe)
         if queue_capacity is None:
             # Provision the queue against the over-provisioned space: pinned
             # old versions may consume at most half of it, leaving the rest
@@ -70,38 +70,9 @@ class InsiderFTL(PageMappedFTL):
         # GC select victims (and size relocations) without page walks.
         self.queue.on_pin = self.victim_index.pin
         self.queue.on_unpin = self.victim_index.unpin
-        self._m_queue_depth = None
-        self._m_queue_pinned = None
-        self._m_queue_evictions = None
-        self._m_queue_occupancy = None
-        #: Whether queue transitions need folding into tracer/metrics/
-        #: flight recorder at all — cached so the supersede hot path pays
-        #: one attribute test when none of them is armed.
-        self._note_changes = (
-            self.obs.armed_tracer or self.obs.armed_metrics
-            or self.obs.flightrec is not None
-        )
-        if self.obs.armed_metrics:
-            metrics = self.obs.metrics
-            self._m_queue_depth = metrics.gauge(
-                "recovery_queue_depth", "Backup entries currently queued."
-            )
-            self._m_queue_pinned = metrics.gauge(
-                "recovery_queue_pinned_pages",
-                "Old-version physical pages pinned against GC.",
-            )
-            self._m_queue_evictions = metrics.counter(
-                "recovery_queue_evictions_total",
-                "Entries evicted early because the queue hit capacity "
-                "(each one is in-window recovery coverage lost).",
-            )
-            # Mergeable occupancy distribution: depth counts start at 1,
-            # so one unit of resolution below that is plenty.
-            self._m_queue_occupancy = metrics.loghistogram(
-                "recovery_queue_occupancy",
-                "Queue depth sampled at every queue transition.",
-                min_value=1.0,
-            )
+        #: Called after every logged entry; None (no call at all) unless
+        #: the probe watches the queue.
+        self._queue_note = probe.queue_note(self.queue)
 
     # -- hooks ------------------------------------------------------------
 
@@ -118,41 +89,8 @@ class InsiderFTL(PageMappedFTL):
         allocation-free whenever the window has not moved past the oldest
         entry.
         """
-        self.queue.log_run(
-            lba, old_ppas, new_ppas, timestamp,
-            self._note_queue_change if self._note_changes else None,
-        )
-
-    def _note_queue_change(self, expired, evicted, entry) -> None:
-        """Fold one queue append into the tracer and the gauges."""
-        timestamp = entry.timestamp
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            if entry.old_ppa is not None:
-                tracer.instant("queue.pin", category="queue",
-                               sim_time=timestamp)
-            if expired:
-                tracer.instant("queue.expire", category="queue",
-                               sim_time=timestamp, entries=len(expired))
-            for evictee in evicted:
-                tracer.instant("queue.evict", category="queue",
-                               sim_time=timestamp, lba=evictee.lba)
-        if evicted and self._m_queue_evictions is not None:
-            self._m_queue_evictions.inc(len(evicted))
-        if self._m_queue_depth is not None:
-            self._m_queue_depth.set(len(self.queue))
-            self._m_queue_pinned.set(self.queue.pinned_count)
-            self._m_queue_occupancy.observe(len(self.queue))
-        fr = self.obs.flightrec
-        if fr is not None:
-            if evicted:
-                # Each early eviction is in-window recovery coverage lost;
-                # the incident report calls these out next to the headroom.
-                fr.record_event(
-                    "queue_evictions", timestamp, entries=len(evicted)
-                )
-            fr.sample_queue(timestamp, len(self.queue),
-                            self.queue.pinned_count)
+        self.queue.log_run(lba, old_ppas, new_ppas, timestamp,
+                           self._queue_note)
 
     def _is_pinned(self, ppa: int) -> bool:
         return self.queue.is_pinned(ppa)

@@ -382,23 +382,25 @@ class NandArray:
     def erase(self, global_block: int) -> None:
         """Erase a global block, freeing every page.
 
-        Erasing a block that still holds valid pages is an FTL bug, so it
-        is rejected rather than silently losing data.  A failed erase
-        raises :class:`~repro.errors.EraseError` and is charged like a
-        real one: an injected verify failure (with a fault injector
-        attached) or natural wear-out (``fail_next_erase``) marks the
-        block bad — the grown-bad-block path the FTL survives.
+        Erasing a block that still holds valid pages, or one already
+        marked bad, is an FTL bug: it is rejected with
+        :class:`~repro.errors.EraseError` before the chip is touched — no
+        fault draw, no failure booked, no busy time.  A real erase that
+        fails raises the same error and is charged like a successful
+        one: an injected verify failure (with a fault injector attached)
+        or natural wear-out (``fail_next_erase``) marks the block bad —
+        the grown-bad-block path the FTL survives.
         """
         block = self.block(global_block)
+        if block.valid_count > 0:
+            raise EraseError(f"block {global_block} still holds "
+                             f"{block.valid_count} valid pages")
+        if block.is_bad:
+            raise EraseError(f"block {global_block} is marked bad")
         if self.faults is not None and self.faults.on_erase(global_block):
             block.is_bad = True
             failure = (f"erase verify failed on block {global_block} "
                        f"(injected wear-out)")
-        elif block.valid_count > 0:
-            failure = (f"block {global_block} still holds "
-                       f"{block.valid_count} valid pages")
-        elif block.is_bad:
-            failure = f"block {global_block} is marked bad"
         elif block.fail_next_erase:
             block.fail_next_erase = False
             block.is_bad = True

@@ -99,8 +99,8 @@ class AttributionRecorder:
     Args:
         capacity: Ring size for recent slice attributions.
         threshold: Alarm threshold used to classify score peaks as
-            near-misses; the detector re-stamps it from its own config
-            when it attaches (see ``RansomwareDetector``).
+            near-misses; an :class:`~repro.obs.Observability` re-stamps
+            it from the publishing detector's config.
         near_miss_capacity: Bound on retained near-miss records.
     """
 

@@ -552,11 +552,11 @@ class MetricsRegistry:
     ) -> Dict[str, object]:
         """Append one sim-time/wall-time row of all scalar series.
 
-        The caller decides the cadence (the device snapshots on a
-        simulated-time interval; see
-        :meth:`repro.obs.Observability.maybe_snapshot`).  Rows past the
-        ``max_snapshots`` bound evict the oldest — a long soak keeps the
-        most recent history, like the flight recorder's rings.
+        The caller decides the cadence (an observed device snapshots on a
+        simulated-time interval: ``Observability(snapshot_interval=...)``).
+        Rows past the ``max_snapshots`` bound evict the oldest — a long
+        soak keeps the most recent history, like the flight recorder's
+        rings.
         """
         if len(self.snapshots) == self.snapshots.maxlen:
             self.snapshots_dropped += 1

@@ -51,8 +51,8 @@ DEVICE_PATH_PREFIXES = ("ssd.", "ftl.", "nand.", "queue.")
 #: no layer may be reachable from inside itself, or the inclusive sums of
 #: :meth:`LayerProfiler.layers` would double-count.
 LAYERS: Tuple[Tuple[str, str, str], ...] = (
-    # submit delegates to submit_batch, which runs every request through
-    # _execute, so one boundary covers both without nesting.
+    # Every host request runs through _execute: submit_batch's (which
+    # submit delegates to), and those of the single-block read/write.
     ("ssd.submit", "repro.ssd.device", "SimulatedSSD._execute"),
     ("ssd.read", "repro.ssd.device", "SimulatedSSD.read"),
     ("ssd.write", "repro.ssd.device", "SimulatedSSD.write"),

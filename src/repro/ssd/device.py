@@ -14,8 +14,7 @@ Request flow (mirroring the paper's firmware):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from time import perf_counter
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.blockdev.request import IOMode, IORequest
@@ -24,7 +23,6 @@ from repro.core.detector import DetectionEvent, RansomwareDetector
 from repro.core.id3 import DecisionTree
 from repro.errors import (
     AddressError,
-    ConfigError,
     DeviceReadOnlyError,
     ExhaustedRetriesError,
     RecoveryError,
@@ -32,7 +30,7 @@ from repro.errors import (
 from repro.faults.injector import FaultInjector
 from repro.ftl.insider import InsiderFTL, RollbackReport
 from repro.nand.array import NandArray
-from repro.obs import Observability
+from repro.obs.probe import NULL_PROBE, Probe
 from repro.ssd.config import SSDConfig
 from repro.units import BLOCK_SIZE
 
@@ -66,9 +64,10 @@ class SimulatedSSD:
         strict_read_only: Raise on writes while locked instead of silently
             dropping them (the paper's firmware ignores them; strict mode
             helps tests catch unintended writes).
-        obs: Observability bundle shared by the device, the detector and
-            the FTL (per-request spans, detector slice events, GC spans,
-            queue/latency metrics); disabled by default, costing nothing.
+        obs: An :class:`~repro.obs.Observability` bundle to publish the
+            device's, the detector's and the FTL's events to (request
+            spans, slice events, GC spans, queue/latency metrics, incident
+            bundles).  Without one they go to the shared null probe.
     """
 
     def __init__(
@@ -77,14 +76,14 @@ class SimulatedSSD:
         tree: Optional[DecisionTree] = None,
         on_alarm: Optional[Callable[[DetectionEvent], None]] = None,
         strict_read_only: bool = False,
-        obs: Optional[Observability] = None,
+        obs: Optional[Probe] = None,
     ) -> None:
         self.config = config or SSDConfig.small()
         self.clock = SimClock()
-        self.obs = obs if obs is not None else Observability.off()
-        self.obs.bind_clock(self.clock)
-        #: The black-box flight recorder, when the bundle carries one.
-        self.fr = self.obs.flightrec
+        #: The observability bundle the device was built with, if any.
+        self.obs = obs
+        #: Where the device, its detector and its FTL publish events.
+        self.probe = obs if obs is not None else NULL_PROBE
         #: Incident bundles cut so far (alarm, media alarm, manual), in
         #: trigger order; each is a self-contained JSON-ready dict that
         #: ``python -m repro.tools.forensics`` renders as a report.
@@ -94,22 +93,13 @@ class SimulatedSSD:
             FaultInjector(self.config.faults)
             if self.config.faults is not None else None
         )
-        #: Whether periodic registry snapshots are due on this device.
-        self._snapshots_on = self.obs.snapshot_interval is not None
         self.nand = NandArray(
             self.config.geometry,
             self.config.latencies,
             faults=self.fault_injector,
             ecc=self.config.ecc,
         )
-        self.ftl = InsiderFTL(
-            self.nand,
-            op_ratio=self.config.op_ratio,
-            gc_policy=self.config.gc_policy,
-            retention=self.config.retention,
-            queue_capacity=self.config.queue_capacity,
-            obs=self.obs,
-        )
+        self._boot(InsiderFTL)
         #: Logical capacity, cached for the per-request span check (a
         #: power-loss rebuild keeps the configuration, hence the size).
         self._lba_limit = self.ftl.num_lbas
@@ -119,57 +109,18 @@ class SimulatedSSD:
                 tree=tree,
                 config=self.config.detector,
                 on_alarm=self._alarm_hook,
-                obs=self.obs,
+                probe=self.probe,
             )
         self._host_alarm_callback = on_alarm
         self.strict_read_only = strict_read_only
-        self._m_req_latency = None
-        self._m_requests = None
-        self._m_blocks = None
-        self._m_dropped = None
-        #: Whether per-request spans/metrics are armed at all; flight-
-        #: recorder-only bundles skip the whole :meth:`_observed` wrapper.
-        self._observe_requests = (
-            self.obs.armed_tracer or self.obs.armed_metrics
-        )
-        if self.obs.armed_metrics:
-            metrics = self.obs.metrics
-            self._m_req_latency = metrics.loghistogram(
-                "ssd_request_latency_seconds",
-                "Host wall-clock time servicing one submitted request, "
-                "by opcode.",
-                labelnames=("mode",),
-            )
-            self._m_requests = metrics.counter(
-                "ssd_requests_total", "Requests submitted, by opcode.",
-                labelnames=("mode",),
-            )
-            self._m_blocks = metrics.counter(
-                "ssd_blocks_total",
-                "Logical blocks transferred, by opcode.",
-                labelnames=("mode",),
-            )
-            self._m_dropped = metrics.counter(
-                "ssd_dropped_writes_total",
-                "Writes dropped by the read-only lockdown.",
-            )
         self.read_only = False
         #: Sticky media-health flag: set when ECC or remap retries were
         #: exhausted; cleared only by a power cycle (fresh firmware boot).
         self.degraded = False
         self.stats = DeviceStats()
         self.rollback_reports: List[RollbackReport] = []
-        self.wear_leveler = None
-        if self.config.wear_level is not None:
-            self.wear_leveler = self.ftl.attach_wear_leveling(
-                self.config.wear_level
-            )
-        self.scrubber = None
-        if self.config.scrub is not None:
-            from repro.ftl.scrub import ReadScrubber
-
-            self.scrubber = ReadScrubber(self.ftl, self.config.scrub)
         self._last_maintenance = 0.0
+        self.probe.attach(self)
 
     # -- capacity ----------------------------------------------------------
 
@@ -212,78 +163,45 @@ class SimulatedSSD:
         """
         executed = 0
         was_read_only = self.read_only
+        injector = self.fault_injector
         for request in requests:
             self._check_span(request.lba, request.length)
             self.clock.advance_to(request.time)
-            self._maybe_power_loss()
-            if self._snapshots_on:
-                self.obs.maybe_snapshot(
-                    self.clock.now, before=self.refresh_obs_metrics
-                )
-            if self._observe_requests:
-                self._observed(request, lambda: self._execute(request))
-            else:
-                self._execute(request)
+            if injector is not None:
+                self._maybe_power_loss()
+            self._execute(request)
             executed += 1
             if self.read_only and not was_read_only:
                 break
         return executed
 
-    def _observed(self, request, operate):
-        """Run one host operation under the request span + metrics."""
-        mode = request.mode.value
-        start = perf_counter()
-        with self.obs.tracer.span(
-            "ssd.request", category="io",
-            mode=mode, lba=request.lba, length=request.length,
-        ):
-            result = operate()
-        if self._m_req_latency is not None:
-            self._m_req_latency.observe(perf_counter() - start, mode=mode)
-            self._m_requests.inc(mode=mode)
-            self._m_blocks.inc(request.length, mode=mode)
-        self.obs.tracer.counter(
-            "recovery_queue_depth", len(self.ftl.queue), category="queue"
-        )
-        return result
+    def _execute(self, request: IORequest,
+                 payload: Optional[bytes] = None) -> Optional[int]:
+        """Serve any host request: detector first, then the data moves.
 
-    def _execute(self, request: IORequest) -> None:
+        A read returns its last block's PPA (None when unmapped or lost).
+        An armed :class:`~repro.obs.Observability` wraps this per device.
+        """
         if self.detector is not None:
             self.detector.observe(request)
-        if self.fr is not None:
-            self._flight_note(request)
         if request.mode is IOMode.READ:
-            self._read_run(request.lba, request.length)
-        else:
-            self._write_run(request.lba, request.length, None)
+            return self._read_run(request.lba, request.length)
+        self._write_run(request.lba, request.length, payload)
+        return None
 
     def read(self, lba: int, now: Optional[float] = None) -> bytes:
         """Read one 4-KB block; unmapped blocks read as zeroes."""
         self._check_span(lba, 1)
-        timestamp = self._stamp(now)
-        request = IORequest(time=timestamp, lba=lba, mode=IOMode.READ)
-        if self.detector is not None:
-            self.detector.observe(request)
-        if self.fr is not None:
-            self._flight_note(request)
-        if not self._observe_requests:
-            return self._read_block(lba)
-        return self._observed(request, lambda: self._read_block(lba))
+        return self._block_data(self._execute(
+            IORequest(time=self._stamp(now), lba=lba, mode=IOMode.READ)))
 
     def write(self, lba: int, payload: Optional[bytes] = None,
               now: Optional[float] = None) -> None:
         """Write one 4-KB block (dropped/refused while read-only)."""
         self._check_span(lba, 1)
-        timestamp = self._stamp(now)
-        request = IORequest(time=timestamp, lba=lba, mode=IOMode.WRITE)
-        if self.detector is not None:
-            self.detector.observe(request)
-        if self.fr is not None:
-            self._flight_note(request)
-        if not self._observe_requests:
-            self._write_run(lba, 1, payload)
-            return
-        self._observed(request, lambda: self._write_run(lba, 1, payload))
+        self._execute(
+            IORequest(time=self._stamp(now), lba=lba, mode=IOMode.WRITE),
+            payload)
 
     def trim(self, lba: int, now: Optional[float] = None) -> None:
         """Discard one block (used by the filesystem on delete)."""
@@ -293,8 +211,6 @@ class SimulatedSSD:
             if self.strict_read_only:
                 raise DeviceReadOnlyError("device is read-only after an alarm")
             self.stats.dropped_writes += 1
-            if self._m_dropped is not None:
-                self._m_dropped.inc()
             return
         self.ftl.trim(lba, timestamp)
 
@@ -305,11 +221,9 @@ class SimulatedSSD:
         idle time is when firmware does its housekeeping.
         """
         self.clock.advance_to(now)
-        self._maybe_power_loss()
-        if self._snapshots_on:
-            self.obs.maybe_snapshot(
-                self.clock.now, before=self.refresh_obs_metrics
-            )
+        if self.fault_injector is not None:
+            self._maybe_power_loss()
+        self.probe.idle(self)
         if self.detector is not None:
             self.detector.tick(now)
         self._maybe_maintain()
@@ -334,48 +248,13 @@ class SimulatedSSD:
         """
         if self.detector is not None and not self.detector.alarm_raised:
             raise RecoveryError("no alarm is pending; nothing to recover from")
-        # Freeze the queue occupancy the rollback is about to drain — the
-        # incident bundle reports the headroom the recovery actually had.
-        queue_at_rollback = (
-            self._queue_state() if self.fr is not None else None
-        )
-        if not self.obs.enabled:
-            report = self.ftl.rollback(self.clock.now)
-        else:
-            with self.obs.tracer.span(
-                "ssd.rollback", category="recovery"
-            ) as span:
-                report = self.ftl.rollback(self.clock.now)
-                span.set("entries_scanned", report.entries_scanned)
-                span.set("entries_applied", report.entries_applied)
-                span.set("lbas_restored", report.lbas_restored)
-                span.set("lbas_unmapped", report.lbas_unmapped)
+        self.probe.rollback_started(self)
+        report = self.ftl.rollback(self.clock.now)
         self.rollback_reports.append(report)
-        if self.fr is not None:
-            self.fr.record_event(
-                "rollback", self.clock.now,
-                entries_scanned=report.entries_scanned,
-                entries_applied=report.entries_applied,
-                lbas_restored=report.lbas_restored,
-                lbas_unmapped=report.lbas_unmapped,
-            )
-            if self.incidents:
-                # Annotate the incident that triggered this recovery with
-                # what the rollback did and the queue state it drained.
-                self.incidents[-1]["rollback"] = {
-                    "time": self.clock.now,
-                    "queue_at_rollback": queue_at_rollback,
-                    "entries_scanned": report.entries_scanned,
-                    "entries_applied": report.entries_applied,
-                    "lbas_restored": report.lbas_restored,
-                    "lbas_unmapped": report.lbas_unmapped,
-                    "mapping_updates": report.mapping_updates,
-                }
         self.read_only = False
         if self.detector is not None:
             self.detector.reset()
-        if self.obs.enabled:
-            self.refresh_obs_metrics()
+        self.probe.rolled_back(self, report)
         return report
 
     def power_cycle(self) -> None:
@@ -389,22 +268,7 @@ class SimulatedSSD:
         degraded latch clears — a fresh boot re-assesses media health.
         """
         self.stats.power_losses += 1
-        self.ftl = InsiderFTL.rebuild(
-            self.nand,
-            op_ratio=self.config.op_ratio,
-            gc_policy=self.config.gc_policy,
-            retention=self.config.retention,
-            queue_capacity=self.config.queue_capacity,
-            obs=self.obs,
-        )
-        if self.wear_leveler is not None:
-            self.wear_leveler = self.ftl.attach_wear_leveling(
-                self.config.wear_level
-            )
-        if self.scrubber is not None:
-            from repro.ftl.scrub import ReadScrubber
-
-            self.scrubber = ReadScrubber(self.ftl, self.config.scrub)
+        self._boot(InsiderFTL.rebuild)
         if self.detector is not None:
             self.detector.reset()
         self.read_only = False
@@ -418,76 +282,15 @@ class SimulatedSSD:
 
     def _alarm_hook(self, event: DetectionEvent) -> None:
         self.read_only = True
-        if self.obs.enabled:
-            self.obs.tracer.instant(
-                "ssd.lockdown", category="recovery",
-                sim_time=event.time, slice_index=event.slice_index,
-                score=event.score,
-            )
-        if self.fr is not None:
-            # The detector attributed the alarming slice before invoking
-            # this hook, so the bundle's attribution ring already ends on
-            # the root-to-leaf path that raised the score past threshold.
-            self._cut_incident(
-                "alarm", event.time,
-                details={
-                    "slice_index": event.slice_index,
-                    "score": event.score,
-                    "threshold": self.detector.config.threshold,
-                },
-            )
+        self.probe.alarm(self, event)
         if self._host_alarm_callback is not None:
             self._host_alarm_callback(event)
 
     # -- observability -------------------------------------------------------
 
     def refresh_obs_metrics(self) -> None:
-        """Fold current device/FTL/detector state into the gauges.
-
-        Incremental counters update inline on the data path; the derived
-        values (write amplification, utilization, queue depth, score) are
-        snapshots, so they are recomputed here — call this before
-        rendering the registry.  A no-op while observability is disabled.
-        """
-        if not self.obs.enabled:
-            return
-        metrics = self.obs.metrics
-        metrics.gauge(
-            "recovery_queue_depth", "Backup entries currently queued."
-        ).set(len(self.ftl.queue))
-        metrics.gauge(
-            "recovery_queue_pinned_pages",
-            "Old-version physical pages pinned against GC.",
-        ).set(self.ftl.pinned_pages())
-        metrics.gauge(
-            "ftl_write_amplification",
-            "(host writes + GC copies) / host writes.",
-        ).set(self.ftl.stats.write_amplification)
-        metrics.gauge(
-            "ftl_utilization", "Fraction of logical space currently mapped."
-        ).set(self.ftl.utilization())
-        metrics.gauge(
-            "ssd_recoveries", "Mapping-table rollbacks completed."
-        ).set(len(self.rollback_reports))
-        reliability = self.nand.reliability
-        metrics.gauge(
-            "nand_corrected_reads",
-            "Reads with raw bit errors corrected by ECC (in-line or retry).",
-        ).set(reliability.corrected_reads)
-        metrics.gauge(
-            "nand_uncorrectable_reads",
-            "Reads abandoned after the ECC retry budget (data lost).",
-        ).set(reliability.uncorrectable_reads)
-        metrics.gauge(
-            "ftl_bad_blocks", "Blocks retired as bad (factory + grown)."
-        ).set(self.ftl.allocator.retired_blocks)
-        if self.detector is not None:
-            metrics.gauge(
-                "detector_score",
-                "Current sliding-window score (0..window size).",
-            ).set(self.detector.score)
-
-    # -- flight recorder & incident bundles ---------------------------------
+        """Sync the derived gauges; call before rendering the registry."""
+        self.probe.refresh(self)
 
     def snapshot_incident(self, reason: str = "manual") -> Dict[str, object]:
         """Cut an incident bundle on demand (post-mortem of a live run).
@@ -496,95 +299,30 @@ class SimulatedSSD:
         degraded latch; this is the escape hatch for "the run looks wrong,
         freeze the black box now".  Requires an armed flight recorder.
         """
-        if self.fr is None:
-            raise ConfigError(
-                "no flight recorder armed; build the device with "
-                "Observability.on(flight=FlightRecorder(...))"
-            )
-        return self._cut_incident(reason, self.clock.now)
-
-    def _flight_note(self, request: IORequest) -> None:
-        """Fold one host request into the flight recorder's rings."""
-        self.fr.record_request(request)
-        self.fr.sample_queue(
-            request.time, len(self.ftl.queue), self.ftl.pinned_pages()
-        )
-
-    def _cut_incident(
-        self,
-        trigger: str,
-        sim_time: float,
-        details: Optional[Dict[str, object]] = None,
-    ) -> Dict[str, object]:
-        """Snapshot the flight recorder + live device state into a bundle."""
-        bundle = self.fr.snapshot(
-            trigger, sim_time, details=details, extra=self._incident_extra()
-        )
-        self.incidents.append(bundle)
-        if self.obs.enabled:
-            self.obs.tracer.instant(
-                "ssd.incident_snapshot", category="recovery",
-                sim_time=sim_time, trigger=trigger,
-            )
-        return bundle
-
-    def _queue_state(self) -> Dict[str, object]:
-        """Recovery-queue occupancy and headroom, JSON-ready."""
-        queue = self.ftl.queue
-        depth = len(queue)
-        capacity = queue.capacity
-        return {
-            "depth": depth,
-            "capacity": capacity,
-            "headroom": capacity - depth if capacity is not None else None,
-            "pinned_pages": queue.pinned_count,
-            "evictions": queue.evictions,
-            "retention_seconds": queue.retention,
-            "memory_bytes": queue.memory_bytes(),
-        }
-
-    def _incident_extra(self) -> Dict[str, object]:
-        """The live-state sections stamped into every incident bundle."""
-        detector_section: Optional[Dict[str, object]] = None
-        if self.detector is not None:
-            detector = self.detector
-            alarm = detector.alarm_event
-            detector_section = {
-                "config": {
-                    "slice_duration": detector.config.slice_duration,
-                    "window_slices": detector.config.window_slices,
-                    "threshold": detector.config.threshold,
-                },
-                "score": detector.score,
-                "window": detector.window.snapshot(),
-                "fast_forwarded_slices": detector.fast_forwarded_slices,
-                "alarm_event": None if alarm is None else {
-                    "time": alarm.time,
-                    "slice_index": alarm.slice_index,
-                    "score": alarm.score,
-                },
-            }
-        return {
-            "device": {
-                "read_only": self.read_only,
-                "degraded": self.degraded,
-                "reads": self.stats.reads,
-                "writes": self.stats.writes,
-                "dropped_writes": self.stats.dropped_writes,
-                "failed_writes": self.stats.failed_writes,
-                "uncorrectable_reads": self.stats.uncorrectable_reads,
-                "unmapped_reads": self.stats.unmapped_reads,
-                "power_losses": self.stats.power_losses,
-            },
-            "detector": detector_section,
-            "recovery_queue": self._queue_state(),
-            "faults": (
-                self.fault_injector.stats.as_dict()
-                if self.fault_injector is not None else None
-            ),
-        }
+        return self.probe.snapshot_incident(self, reason)
 
     # -- internals -----------------------------------------------------------
+
+    def _boot(self, build: Callable[..., InsiderFTL]) -> None:
+        """Build the FTL (fresh, or rebuilt from NAND) and its maintenance."""
+        config = self.config
+        self.ftl = build(
+            self.nand,
+            op_ratio=config.op_ratio,
+            gc_policy=config.gc_policy,
+            retention=config.retention,
+            queue_capacity=config.queue_capacity,
+            probe=self.probe,
+        )
+        self.wear_leveler = None
+        if config.wear_level is not None:
+            self.wear_leveler = self.ftl.attach_wear_leveling(
+                config.wear_level)
+        self.scrubber = None
+        if config.scrub is not None:
+            from repro.ftl.scrub import ReadScrubber
+
+            self.scrubber = ReadScrubber(self.ftl, config.scrub)
 
     def _check_span(self, lba: int, length: int) -> None:
         """Reject a request reaching outside the logical space.
@@ -602,7 +340,8 @@ class SimulatedSSD:
     def _stamp(self, now: Optional[float]) -> float:
         if now is not None:
             self.clock.advance_to(now)
-        self._maybe_power_loss()
+        if self.fault_injector is not None:
+            self._maybe_power_loss()
         return self.clock.now
 
     def _maybe_power_loss(self) -> None:
@@ -611,17 +350,11 @@ class SimulatedSSD:
         The cut lands on a request boundary (page programs are atomic in
         this simulator); everything DRAM-resident — mapping table,
         recovery queue, detector state — vanishes and is rebuilt by
-        :meth:`power_cycle`.
+        :meth:`power_cycle`.  Callers check for a fault injector first, so
+        a healthy device pays no call per request.
         """
-        if (self.fault_injector is not None
-                and self.fault_injector.power_loss_due(self.clock.now)):
-            if self.obs.enabled:
-                self.obs.tracer.instant(
-                    "ssd.power_loss", category="reliability",
-                    sim_time=self.clock.now,
-                )
-            if self.fr is not None:
-                self.fr.record_event("power_loss", self.clock.now)
+        if self.fault_injector.power_loss_due(self.clock.now):
+            self.probe.power_loss(self)
             self.power_cycle()
 
     def _media_degrade(self, reason: str, lockdown: bool, **details) -> None:
@@ -636,25 +369,10 @@ class SimulatedSSD:
         self.degraded = True
         if lockdown:
             self.read_only = True
-        if self.obs.enabled:
-            self.obs.tracer.instant(
-                "ssd.media_alarm", category="reliability",
-                sim_time=self.clock.now, reason=reason,
-                lockdown=lockdown, **details,
-            )
-        if self.fr is not None:
-            self.fr.record_event(
-                "media_alarm", self.clock.now,
-                reason=reason, lockdown=lockdown, **details,
-            )
-            self._cut_incident(
-                "media_alarm", self.clock.now,
-                details={"cause": reason, "lockdown": lockdown, **details},
-            )
+        self.probe.media_alarm(self, reason, lockdown, details)
 
-    def _read_block(self, lba: int) -> bytes:
-        """One block's data; unmapped and lost blocks read as zeroes."""
-        ppa = self._read_run(lba, 1)
+    def _block_data(self, ppa: Optional[int]) -> bytes:
+        """The data at ``ppa``; unmapped and lost blocks read as zeroes."""
         payload = None if ppa is None else self.nand.payloads[ppa]
         return bytes(BLOCK_SIZE) if payload is None else payload
 
@@ -704,8 +422,6 @@ class SimulatedSSD:
                         "device is read-only after an alarm"
                     )
                 stats.dropped_writes += length
-                if self._m_dropped is not None:
-                    self._m_dropped.inc(length)
                 return
             try:
                 self.ftl.write_span(lba, length, self.clock.now, payload)

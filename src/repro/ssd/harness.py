@@ -87,10 +87,11 @@ def run_defense(
     device.tick(device.clock.now + max(idle_gap, device.config.retention + 1.0))
 
     onset = device.clock.now
-    if device.fr is not None:
+    flight = getattr(device.obs, "flightrec", None)
+    if flight is not None:
         # Time-to-detect in the incident report is measured from this
         # onset; the bundle carries it so the report needs nothing else.
-        device.fr.set_context(
+        flight.set_context(
             sample=sample, seed=seed, attack_onset=onset,
             user_blocks=user_blocks,
         )
@@ -128,6 +129,6 @@ def run_defense(
         rollback=rollback,
         blocks_audited=audited,
         blocks_corrupted=corrupted,
-        obs=device.obs if device.obs.enabled else None,
+        obs=device.obs,
         incidents=list(device.incidents),
     )

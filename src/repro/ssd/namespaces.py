@@ -86,7 +86,7 @@ class Namespace:
             IORequest(time=timestamp, lba=lba, mode=IOMode.READ)
         )
         self.stats.reads += 1
-        return device._read_block(physical)
+        return device._block_data(device._read_run(physical, 1))
 
     def write(self, lba: int, payload: Optional[bytes] = None,
               now: Optional[float] = None) -> None:

@@ -47,7 +47,7 @@ ATTR_DEGRADED = 0xFF
 def smart_report(device: SimulatedSSD, metrics: bool = False) -> Dict:
     """Build the SMART attribute table from live device state.
 
-    With ``metrics=True`` (and an observability-enabled device) the
+    With ``metrics=True`` (and a device observed with a registry) the
     vendor-specific attribute page grows a ``"metrics"`` section carrying
     the full registry snapshot — the modern "telemetry log page" analogue
     of the paper's custom-command surface.
@@ -72,9 +72,10 @@ def smart_report(device: SimulatedSSD, metrics: bool = False) -> Dict:
         ATTR_POWER_LOSSES: device.stats.power_losses,
         ATTR_DEGRADED: int(device.degraded),
     }
-    if metrics and device.obs.enabled:
+    registry = getattr(device.obs, "metrics", None)
+    if metrics and registry is not None:
         device.refresh_obs_metrics()
-        report["metrics"] = device.obs.metrics.to_dict()
+        report["metrics"] = registry.to_dict()
     return report
 
 

@@ -31,7 +31,6 @@ from repro.errors import (
 from repro.ftl.insider import InsiderFTL
 from repro.nand.block import PageInfo
 from repro.ssd.device import SimulatedSSD
-from repro.units import BLOCK_SIZE
 
 
 class BlockPathFTL(InsiderFTL):
@@ -62,8 +61,8 @@ class BlockPathFTL(InsiderFTL):
         if old_ppa is not None:
             self.nand.invalidate(old_ppa)
         expired, evicted = self.queue.log(lba, old_ppa, new_ppa, timestamp)
-        if self._note_changes:
-            self._note_queue_change(expired, evicted, self.queue._entries[-1])
+        if self._queue_note is not None:
+            self._queue_note(expired, evicted, self.queue._entries[-1])
         return new_ppa
 
     def write_span(self, lba: int, length: int, timestamp: float,
@@ -107,46 +106,43 @@ class BlockPathSSD(SimulatedSSD):
         super().power_cycle()
         self.ftl.__class__ = BlockPathFTL
 
-    def _execute(self, request: IORequest) -> None:
+    def _execute(self, request: IORequest,
+                 payload: Optional[bytes] = None) -> Optional[int]:
         if self.detector is not None:
             self.detector.observe(request)
-        if self.fr is not None:
-            self._flight_note(request)
-        if request.mode is IOMode.READ:
-            for lba in request.lbas():
-                self._read_block(lba)
-            return
+        if request.mode is IOMode.WRITE:
+            self._write_run(request.lba, request.length, payload)
+            return None
+        ppa = None
         for lba in request.lbas():
-            self._write_block(lba, None)
+            ppa = self._read_block(lba)
+        return ppa
 
     def _write_run(self, lba: int, length: int,
                    payload: Optional[bytes]) -> None:
         for offset in range(length):
             self._write_block(lba + offset, payload)
 
-    def _read_block(self, lba: int) -> bytes:
+    def _read_block(self, lba: int) -> Optional[int]:
+        """Read one block; returns its PPA (None when unmapped or lost)."""
         self.stats.reads += 1
         try:
-            info = self.ftl.read(lba, self.clock.now)
+            self.ftl.read(lba, self.clock.now)
         except UnmappedReadError:
             self.stats.unmapped_reads += 1
-            return bytes(BLOCK_SIZE)
+            return None
         except UncorrectableReadError as exc:
             self.stats.uncorrectable_reads += 1
             self._media_degrade("uncorrectable_read", lockdown=False,
                                 lba=lba, retries=exc.retries)
-            return bytes(BLOCK_SIZE)
-        if info.payload is None:
-            return bytes(BLOCK_SIZE)
-        return info.payload
+            return None
+        return self.ftl.mapping.lookup(lba)
 
     def _write_block(self, lba: int, payload: Optional[bytes]) -> None:
         if self.read_only:
             if self.strict_read_only:
                 raise DeviceReadOnlyError("device is read-only after an alarm")
             self.stats.dropped_writes += 1
-            if self._m_dropped is not None:
-                self._m_dropped.inc()
             return
         if self.detector is not None and hasattr(self.detector.tree,
                                                  "observe_write"):

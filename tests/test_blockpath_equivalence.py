@@ -140,7 +140,7 @@ def _snapshot(device):
     }
     if device.fault_injector is not None:
         state["faults"] = device.fault_injector.stats
-    if device.obs.enabled:
+    if device.obs is not None:
         state["instants"] = [
             (event.name, event.phase, event.sim_ts, event.args)
             for event in device.obs.tracer.events if event.phase in "iC"

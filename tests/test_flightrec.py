@@ -1,12 +1,14 @@
-"""The flight recorder: bounded memory, incident bundles, zero perturbation."""
+"""The flight recorder: bounded memory and incident bundles.
+
+That arming it perturbs nothing is part of the observability inertness
+matrix in ``tests/test_obs_inertness.py``.
+"""
 
 import json
 
 import pytest
 
 from repro.blockdev.request import IOMode, IORequest
-from repro.core.config import DetectorConfig
-from repro.core.detector import RansomwareDetector
 from repro.core.features import FEATURE_NAMES
 from repro.errors import ConfigError
 from repro.obs import Observability
@@ -22,7 +24,6 @@ from repro.obs.flightrec import (
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.harness import run_defense
-from repro.workloads.scenario import Scenario
 
 
 def golden_device(flight=None) -> SimulatedSSD:
@@ -71,30 +72,6 @@ class TestBoundedMemory:
             recorder.sample_queue(step * 0.1, depth=step, pinned=0)
         # 10 samples/second offered, 1/second kept.
         assert recorder.queue_samples_recorded <= 11
-
-
-class TestBitIdenticalEventStream:
-    def test_forensics_run_matches_plain_run(self):
-        """Acceptance: recording never alters a single DetectionEvent."""
-        scenario = Scenario(
-            "flightrec-identity", ransomware="wannacry", app="database",
-            category="heavy_overwrite", duration=30.0,
-        )
-        run = scenario.build(seed=42)
-        plain = RansomwareDetector(config=DetectorConfig())
-        observed = RansomwareDetector(
-            config=DetectorConfig(),
-            obs=Observability.on(flight=FlightRecorder()),
-        )
-        for request in run.trace:
-            plain.observe(request)
-            observed.observe(request)
-        end = run.trace.end_time + 3600.0  # exercise fast-forward too
-        plain.tick(end)
-        observed.tick(end)
-        assert plain.events == observed.events
-        assert plain.alarm_event == observed.alarm_event
-        assert plain.fast_forwarded_slices == observed.fast_forwarded_slices
 
 
 class TestIncidentBundle:

@@ -139,7 +139,7 @@ class TestGoldenScenarioAttribution:
         flight = FlightRecorder(budget_bytes=1024 * 1024)
         detector = RansomwareDetector(
             config=DetectorConfig(),
-            obs=Observability.on(flight=flight),
+            probe=Observability.on(flight=flight),
         )
         for request in run.trace:
             detector.observe(request)
@@ -170,7 +170,7 @@ class TestGoldenScenarioAttribution:
         flight = FlightRecorder()
         detector = RansomwareDetector(
             tree=owio_tree(threshold=0.5), config=config,
-            obs=Observability.on(flight=flight),
+            probe=Observability.on(flight=flight),
         )
         # Two overwrite-heavy slices (verdict 1), then quiet: the score
         # climbs to 2 = threshold - 1 and decays without alarming.

@@ -161,6 +161,41 @@ class TestEraseFail:
         assert array.reliability.erase_fails == 1
 
 
+class TestEraseMisuse:
+    """Erasing a block with valid pages, or a bad one, is an FTL bug: it
+    is refused before the chip is touched, never booked as wear-out."""
+
+    def test_valid_pages_refused_without_booking_a_failure(self):
+        array = NandArray()
+        array.program(0, lba=0, timestamp=0.0)
+        with pytest.raises(EraseError):
+            array.erase(0)
+        assert array.reliability.erase_fails == 0
+        assert array.chip(0).counters.erase_fails == 0
+        assert array.busy_breakdown.block_erase == 0.0
+        assert array.busy_time == array.latencies.page_program
+        assert not array.block(0).is_bad
+
+    def test_misuse_draws_no_fault_and_keeps_the_block(self):
+        array = make_array(FaultConfig(erase_fail_rate=1.0))
+        array.program(0, lba=0, timestamp=0.0)
+        with pytest.raises(EraseError):
+            array.erase(0)
+        assert array.faults.stats.erase_fails == 0
+        assert array.reliability.erase_fails == 0
+        assert not array.block(0).is_bad
+        assert array.page_state(0) is PageState.VALID
+
+    def test_bad_block_refused_without_booking_a_failure(self):
+        array = make_array(FaultConfig(erase_fail_rate=1.0))
+        array.block(3).is_bad = True
+        with pytest.raises(EraseError):
+            array.erase(3)
+        assert array.faults.stats.erase_fails == 0
+        assert array.reliability.erase_fails == 0
+        assert array.busy_breakdown.block_erase == 0.0
+
+
 class TestFactoryBadBlocks:
     def test_marked_bad_at_construction(self):
         array = make_array(FaultConfig(seed=5, factory_bad_blocks=3))

@@ -31,7 +31,8 @@ class TestInstrumentedDefense:
 
     def test_outcome_carries_the_bundle(self, outcome):
         assert outcome.obs is not None
-        assert outcome.obs.enabled
+        assert outcome.obs.tracer.enabled
+        assert outcome.obs.metrics is not None
 
     def test_detector_slices_carry_all_six_features(self, outcome):
         slices = outcome.obs.tracer.find("detector.slice")

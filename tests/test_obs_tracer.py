@@ -162,14 +162,16 @@ class TestChromeExport:
 
 class TestObservabilityHub:
     def test_off_is_disabled_and_null(self):
-        obs = Observability.off()
-        assert obs.enabled is False
+        obs = Observability()
         assert obs.tracer is NULL_TRACER
+        assert obs.metrics is None and obs.flightrec is None
+        # Nothing armed: the recovery queue gets no per-entry callback.
+        assert obs.queue_note(object()) is None
 
     def test_on_enables_both_halves(self):
         obs = Observability.on()
-        assert obs.enabled is True
         assert obs.tracer.enabled is True
+        assert obs.queue_note(object()) is not None
         obs.metrics.counter("x_total").inc()
         assert obs.metrics.get("x_total") is not None
 
