@@ -43,39 +43,49 @@ def load_csv_trace(
         time_scale: Multiply timestamps (e.g. 1e-9 for nanosecond traces).
         sort: Sort rows by time before building the trace (real traces
             from multi-queue devices are often slightly out of order).
+
+    Raises:
+        TraceError: On any malformed input — bad UTF-8, a CSV syntax
+            error or oversize field, a missing column or field, a bad
+            number or mode — and on nothing else.
     """
     path = Path(path)
     rows = []
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise TraceError(f"{path}: empty CSV")
-        missing = {time_column, lba_column, mode_column} - set(reader.fieldnames)
-        if missing:
-            raise TraceError(f"{path}: missing columns {sorted(missing)}")
-        for line_number, record in enumerate(reader, start=2):
-            if None in record.values():
-                raise TraceError(
-                    f"{path}:{line_number}: row has fewer fields than the "
-                    f"header"
-                )
-            try:
-                mode_raw = record[mode_column].strip().lower()
-                mode = _MODE_ALIASES[mode_raw]
-                length = 1
-                if length_column and record.get(length_column):
-                    length = int(record[length_column])
-                request = IORequest(
-                    time=float(record[time_column]) * time_scale,
-                    lba=int(record[lba_column]),
-                    mode=mode,
-                    length=length,
-                    source=(record.get(source_column) or None)
-                    if source_column else None,
-                )
-            except (KeyError, ValueError) as exc:
-                raise TraceError(f"{path}:{line_number}: bad row: {exc}") from exc
-            rows.append(request)
+    try:
+        with path.open("r", encoding="utf-8", newline="") as handle:
+            reader = csv.DictReader(handle)
+            if reader.fieldnames is None:
+                raise TraceError(f"{path}: empty CSV")
+            missing = {time_column, lba_column, mode_column} - set(reader.fieldnames)
+            if missing:
+                raise TraceError(f"{path}: missing columns {sorted(missing)}")
+            for line_number, record in enumerate(reader, start=2):
+                if None in record.values():
+                    raise TraceError(
+                        f"{path}:{line_number}: row has fewer fields than the "
+                        f"header"
+                    )
+                try:
+                    mode_raw = record[mode_column].strip().lower()
+                    mode = _MODE_ALIASES[mode_raw]
+                    length = 1
+                    if length_column and record.get(length_column):
+                        length = int(record[length_column])
+                    request = IORequest(
+                        time=float(record[time_column]) * time_scale,
+                        lba=int(record[lba_column]),
+                        mode=mode,
+                        length=length,
+                        source=(record.get(source_column) or None)
+                        if source_column else None,
+                    )
+                except (KeyError, ValueError) as exc:
+                    raise TraceError(f"{path}:{line_number}: bad row: {exc}") from exc
+                rows.append(request)
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise TraceError(f"{path}: malformed CSV: {exc}") from exc
     if sort:
         rows.sort(key=lambda r: r.time)
     return Trace(rows)

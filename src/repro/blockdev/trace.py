@@ -145,27 +145,44 @@ class Trace:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Trace":
-        """Read a trace previously written by :meth:`save`."""
+        """Read a trace previously written by :meth:`save`.
+
+        Any malformed line — bad UTF-8 or JSON, a missing field, a time
+        that is not a finite non-negative number, an LBA or length that is
+        not an integer (booleans included), a bad mode or source — raises
+        :class:`TraceError` naming the line, never a bare Python error.
+        """
         path = Path(path)
         trace = cls()
-        with path.open("r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+        with path.open("rb") as handle:
+            for line_number, raw in enumerate(handle, start=1):
                 try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
                     record = json.loads(line)
                     request = IORequest(
-                        time=record["t"],
-                        lba=record["lba"],
+                        time=_typed(record["t"], "t", (int, float)),
+                        lba=_typed(record["lba"], "lba", (int,)),
                         mode=IOMode(record["mode"]),
-                        length=record["len"],
-                        source=record.get("src"),
+                        length=_typed(record["len"], "len", (int,)),
+                        source=_typed(record.get("src"), "src", (str, type(None))),
                     )
-                except (KeyError, ValueError, TypeError) as exc:
+                except (KeyError, ValueError, TypeError, RecursionError) as exc:
                     raise TraceError(f"{path}:{line_number}: bad record: {exc}") from exc
                 trace.append(request)
         return trace
 
     def __repr__(self) -> str:
         return f"Trace(n={len(self._requests)}, duration={self.duration:.1f}s)"
+
+
+def _typed(value: object, key: str, types: tuple) -> object:
+    """``value`` if its exact type is one of ``types``, else ``TypeError``.
+
+    Exact, so a JSON ``true`` is not taken for the integer 1.
+    """
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{key!r} must be {names}, got {type(value).__name__}")
+    return value

@@ -7,6 +7,7 @@ window (§III-B, §V-B and Fig. 7).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -29,8 +30,10 @@ class DetectorConfig:
     max_tree_depth: int = 6
 
     def __post_init__(self) -> None:
-        if self.slice_duration <= 0:
-            raise ConfigError(f"slice_duration must be positive, got {self.slice_duration}")
+        if not 0 < self.slice_duration < math.inf:  # also false for NaN
+            raise ConfigError(
+                f"slice_duration must be positive and finite, got {self.slice_duration}"
+            )
         if self.window_slices < 1:
             raise ConfigError(f"window_slices must be >= 1, got {self.window_slices}")
         if not (1 <= self.threshold <= self.window_slices):

@@ -12,7 +12,8 @@ A hash index keyed by LBA gives O(1) access from a request to its entry
 (the paper's "hash table consisting of LBAs for keys").  The five update
 operations named in Fig. 3(b) — ``NewEntry``, ``UpdateEntryR``,
 ``SplitEntry``, ``UpdateEntryW``, ``MergeEntry`` — map onto the code paths
-of :meth:`CountingTable.record_read` and :meth:`CountingTable.record_write`.
+of :meth:`CountingTable.record_reads` and :meth:`CountingTable.record_writes`,
+which fold one whole request per call.
 
 Hot-path layout (docs/performance.md):
 
@@ -30,7 +31,7 @@ Hot-path layout (docs/performance.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Set
 
 #: Per-structure unit sizes (bytes) from the paper's Table III.
 HASH_ENTRY_SIZE_BYTES = 42
@@ -134,7 +135,11 @@ class CountingTable:
             entry.wl = wl
         else:
             entry = TableEntry(slice_index=slice_index, lba=lba, rl=rl, wl=wl)
-        self._bucket_for(slice_index)[entry] = None
+        bucket = self._buckets.get(slice_index)
+        if bucket is None:
+            self._buckets[slice_index] = {entry: None}
+        else:
+            bucket[entry] = None
         self._count += 1
         self._wl_total += wl
         return entry
@@ -157,85 +162,113 @@ class CountingTable:
         if len(self._free) < FREE_LIST_CAP:
             self._free.append(entry)
 
-    def _bucket_for(self, slice_index: int) -> Dict[TableEntry, None]:
-        bucket = self._buckets.get(slice_index)
-        if bucket is None:
-            bucket = self._buckets[slice_index] = {}
-        return bucket
-
     def _touch(self, entry: TableEntry, slice_index: int) -> None:
         """Refresh the entry's ``Time``, moving it between expiry buckets."""
-        if entry.slice_index == slice_index:
+        old = entry.slice_index
+        if old == slice_index:
             return
-        bucket = self._buckets.get(entry.slice_index)
-        if bucket is not None:
-            bucket.pop(entry, None)
-            if not bucket:
-                del self._buckets[entry.slice_index]
+        buckets = self._buckets
+        bucket = buckets[old]
+        del bucket[entry]
+        if not bucket:
+            del buckets[old]
         entry.slice_index = slice_index
-        self._bucket_for(slice_index)[entry] = None
+        bucket = buckets.get(slice_index)
+        if bucket is None:
+            buckets[slice_index] = {entry: None}
+        else:
+            bucket[entry] = None
 
     # -- updates --------------------------------------------------------
 
-    def record_read(self, lba: int, slice_index: int) -> TableEntry:
-        """Fold a unit-length read into the table.
+    def record_reads(self, lba: int, length: int, slice_index: int) -> None:
+        """Fold a ``length``-block read into the table, block by block.
 
-        Paths: refresh an entry that already covers the LBA (UpdateEntryR),
-        extend an adjacent run (UpdateEntryR + possible MergeEntry), or
-        start a fresh run (NewEntry).
+        Per block: refresh an entry that already covers the LBA
+        (UpdateEntryR), or hand it to :meth:`_add_read` to extend a run or
+        start one.  An entry already stamped with ``slice_index`` needs no
+        refresh, which is the common case for repeat reads in one slice.
         """
-        entry = self._index.get(lba)
-        if entry is not None:
-            self._touch(entry, slice_index)
-            return entry
+        index = self._index
+        end = lba + length
+        # A while loop, not range(): most requests are one block long, and
+        # building a range object for one iteration would double the cost.
+        while lba < end:
+            entry = index.get(lba)
+            if entry is None:
+                self._add_read(lba, slice_index)
+            elif entry.slice_index != slice_index:
+                self._touch(entry, slice_index)
+            lba += 1
 
-        left = self._index.get(lba - 1) if lba > 0 else None
-        if left is not None and left.end_lba == lba and left.rl < MAX_RUN_BLOCKS:
+    def record_read(self, lba: int, slice_index: int) -> TableEntry:
+        """Fold a unit-length read into the table; returns its entry."""
+        self.record_reads(lba, 1, slice_index)
+        return self._index[lba]
+
+    def _add_read(self, lba: int, slice_index: int) -> None:
+        """Read an untracked LBA: extend an adjacent run (UpdateEntryR +
+        possible MergeEntry) or start a fresh one (NewEntry)."""
+        index = self._index
+        left = index.get(lba - 1)
+        if left is not None and left.lba + left.rl == lba and left.rl < MAX_RUN_BLOCKS:
             left.rl += 1
-            self._touch(left, slice_index)
-            self._index[lba] = left
-            self._maybe_merge(left, slice_index)
-            return left
+            if left.slice_index != slice_index:
+                self._touch(left, slice_index)
+            index[lba] = left
+            if lba + 1 in index:
+                self._maybe_merge(left, slice_index)
+            return
 
-        right = self._index.get(lba + 1)
+        right = index.get(lba + 1)
         if right is not None and right.lba == lba + 1 and right.rl < MAX_RUN_BLOCKS:
             right.lba = lba
             right.rl += 1
-            self._touch(right, slice_index)
-            self._index[lba] = right
+            if right.slice_index != slice_index:
+                self._touch(right, slice_index)
+            index[lba] = right
             # Merging must be symmetric: the freshly extended run may now
             # abut a run on its *left* (scanned right-to-left); merge that
             # neighbour forward into place (MergeEntry).
-            if lba > 0:
-                neighbour = self._index.get(lba - 1)
-                if neighbour is not None and neighbour.end_lba == lba:
-                    self._maybe_merge(neighbour, slice_index)
-            return self._index[lba]
+            if left is not None and left.lba + left.rl == lba:
+                self._maybe_merge(left, slice_index)
+            return
 
-        entry = self._alloc(slice_index, lba)
-        self._index[lba] = entry
-        return entry
+        index[lba] = self._alloc(slice_index, lba)
+
+    def record_writes(self, lba: int, length: int, slice_index: int,
+                      overwritten: Set[int]) -> int:
+        """Fold a ``length``-block write into the table.
+
+        Returns how many of its blocks are *overwrites* — LBAs read within
+        the window — and adds those LBAs to ``overwritten``.  Writes to
+        untracked LBAs leave the table unchanged (Algorithm 1 line 10 only
+        counts blocks "already in the table").
+        """
+        index = self._index
+        end = lba + length
+        count = 0
+        while lba < end:
+            entry = index.get(lba)
+            if entry is not None:
+                if entry.wl == 0 and lba > entry.lba:
+                    # The overwrite starts mid-run: split so the overwritten
+                    # part heads its own entry and WL measures the
+                    # contiguous overwrite run-length (SplitEntry).
+                    entry = self._split(entry, lba)
+                entry.wl += 1
+                if entry.slice_index != slice_index:
+                    self._touch(entry, slice_index)
+                overwritten.add(lba)
+                count += 1
+            lba += 1
+        if count:
+            self._wl_total += count
+        return count
 
     def record_write(self, lba: int, slice_index: int) -> bool:
-        """Fold a unit-length write into the table.
-
-        Returns True when the write is an *overwrite* — the LBA was read
-        within the window.  Writes to untracked LBAs leave the table
-        unchanged (Algorithm 1 line 10 only counts blocks "already in the
-        table").
-        """
-        entry = self._index.get(lba)
-        if entry is None:
-            return False
-        if entry.wl == 0 and lba > entry.lba:
-            # The overwrite starts mid-run: split so the overwritten part
-            # heads its own entry and WL measures the contiguous overwrite
-            # run-length (SplitEntry).
-            entry = self._split(entry, lba)
-        entry.wl += 1
-        self._wl_total += 1
-        self._touch(entry, slice_index)
-        return True
+        """Fold a unit-length write; True when it is an overwrite."""
+        return self.record_writes(lba, 1, slice_index, set()) == 1
 
     def _split(self, entry: TableEntry, at_lba: int) -> TableEntry:
         """Split ``entry`` so a new entry begins at ``at_lba``."""

@@ -8,11 +8,12 @@ alarm once the score reaches the threshold.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, Union
 
-from repro.blockdev.request import IORequest
+from repro.blockdev.request import IOMode, IORequest
 from repro.core.config import DetectorConfig
 from repro.core.counting_table import CountingTable
 from repro.core.features import FeatureVector, compute_features
@@ -20,6 +21,8 @@ from repro.core.id3 import DecisionTree
 from repro.core.score import ScoreTracker
 from repro.core.window import SliceStats, SlidingWindow
 from repro.obs.probe import NULL_PROBE, Probe
+
+_READ = IOMode.READ
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,7 @@ class RansomwareDetector:
         self._events_recorded = 0
         self.alarm_event: Optional[DetectionEvent] = None
         self._current = SliceStats(index=0)
+        self._next_boundary = self._slice_start(1)
         #: Idle slices skipped by the fast-forward path (state-identical
         #: slices that were never individually evaluated).
         self.fast_forwarded_slices = 0
@@ -106,26 +110,23 @@ class RansomwareDetector:
     def observe(self, request: IORequest) -> None:
         """Ingest one request header (multi-block requests are split).
 
-        Multi-block requests are folded block-by-block without materialising
-        per-unit :class:`IORequest` objects — Algorithm 1's ``Length == 1``
-        semantics at a fraction of the allocation cost.
+        A header inside the current slice skips :meth:`tick` (one cached
+        comparison), and the whole request folds into the counting table
+        in one call — Algorithm 1's ``Length == 1`` semantics without
+        per-block calls or per-unit :class:`IORequest` objects.
         """
-        self.tick(request.time)
+        now = request.time
+        if now >= self._next_boundary:
+            self.tick(now)
         current = self._current
-        index = current.index
-        if request.is_read:
-            current.rio += request.length
-            record_read = self.table.record_read
-            for lba in range(request.lba, request.end_lba):
-                record_read(lba, index)
+        length = request.length
+        if request.mode is _READ:
+            current.rio += length
+            self.table.record_reads(request.lba, length, current.index)
         else:
-            current.wio += request.length
-            record_write = self.table.record_write
-            overwritten = current.overwritten_lbas
-            for lba in range(request.lba, request.end_lba):
-                if record_write(lba, index):
-                    current.owio += 1
-                    overwritten.add(lba)
+            current.wio += length
+            current.owio += self.table.record_writes(
+                request.lba, length, current.index, current.overwritten_lbas)
 
     def tick(self, now: float) -> None:
         """Advance simulated time, closing any slices that have expired.
@@ -137,10 +138,30 @@ class RansomwareDetector:
         fast-forwarded in O(window_slices) — see :meth:`_try_fast_forward`.
         """
         target_slice = int(now // self.config.slice_duration)
+        if self._current.index >= target_slice:
+            return
         while self._current.index < target_slice:
             if self._try_fast_forward(target_slice):
                 break
             self._close_slice()
+        self._next_boundary = self._slice_start(self._current.index + 1)
+
+    def _slice_start(self, index: int) -> float:
+        """The smallest float ``t`` with ``int(t // slice_duration) >= index``.
+
+        ``index * slice_duration`` is rounded, so it can sit an ulp short
+        of the boundary that ``//`` sees (``0.5 // 0.1 == 4.0``), or past
+        it once ``index`` itself no longer converts to float exactly.
+        Stepping by ulps until ``//`` agrees makes the cached comparison
+        in :meth:`observe` agree with :meth:`tick` for every timestamp.
+        """
+        duration = self.config.slice_duration
+        start = index * duration
+        while start // duration < index:
+            start = math.nextafter(start, math.inf)
+        while math.nextafter(start, -math.inf) // duration >= index:
+            start = math.nextafter(start, -math.inf)
+        return start
 
     def _try_fast_forward(self, target_slice: int) -> bool:
         """Jump a converged idle gap straight to ``target_slice``.

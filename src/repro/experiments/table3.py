@@ -70,11 +70,11 @@ def run(seed: int = 0, duration: float = 30.0,
         while current_slice < target:
             current_slice += 1
             table.expire(current_slice - config.window_slices)
-        for unit in request.split():
-            if unit.is_read:
-                table.record_read(unit.lba, current_slice)
-            else:
-                table.record_write(unit.lba, current_slice)
+        if request.is_read:
+            table.record_reads(request.lba, request.length, current_slice)
+        else:
+            table.record_writes(request.lba, request.length, current_slice,
+                                set())
         peak_hash = max(peak_hash, table.hash_entries)
         peak_entries = max(peak_entries, len(table))
     return Table3Result(

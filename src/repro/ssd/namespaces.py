@@ -78,7 +78,12 @@ class Namespace:
         return self.start_lba + lba
 
     def read(self, lba: int, now: Optional[float] = None) -> bytes:
-        """Read one block of this namespace."""
+        """Read one block of this namespace.
+
+        This namespace's detector sees the namespace-relative header; the
+        device serves the physical one through its host-request seam, so
+        an armed observability bundle traces and counts it like any other.
+        """
         device = self.manager.device
         physical = self._check(lba)
         timestamp = device._stamp(now)
@@ -86,7 +91,8 @@ class Namespace:
             IORequest(time=timestamp, lba=lba, mode=IOMode.READ)
         )
         self.stats.reads += 1
-        return device._block_data(device._read_run(physical, 1))
+        return device._block_data(device._execute(
+            IORequest(time=timestamp, lba=physical, mode=IOMode.READ)))
 
     def write(self, lba: int, payload: Optional[bytes] = None,
               now: Optional[float] = None) -> None:
@@ -101,7 +107,8 @@ class Namespace:
             self.stats.dropped_writes += 1
             return
         self.stats.writes += 1
-        device._write_run(physical, 1, payload)
+        device._execute(
+            IORequest(time=timestamp, lba=physical, mode=IOMode.WRITE), payload)
 
     def tick(self, now: float) -> None:
         """Advance this namespace's detector through idle time."""
@@ -135,8 +142,9 @@ class NamespaceManager:
     """Splits a device's logical space into equal namespaces.
 
     Args:
-        device: The shared device; its own global detector should be
-            disabled (per-namespace detectors replace it).
+        device: The shared device; its own global detector must be
+            disabled (per-namespace detectors replace it, and a device
+            detector would see every tenant's headers mixed together).
         count: Number of namespaces.
         tree: Detector tree shared by all namespaces (defaults to the
             bundled one).
@@ -154,6 +162,11 @@ class NamespaceManager:
     ) -> None:
         if count < 1:
             raise ConfigError(f"need >= 1 namespace, got {count}")
+        if device.detector is not None:
+            raise ConfigError(
+                "namespaces need a device built with detector_enabled=False: "
+                "each namespace runs its own detector"
+            )
         if device.num_lbas < count:
             raise ConfigError("device too small for that many namespaces")
         self.device = device

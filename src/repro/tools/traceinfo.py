@@ -71,11 +71,13 @@ def _owio_per_second(trace: Trace) -> list:
         while current < target:
             current += 1
             table.expire(current - config.window_slices)
-        for unit in request.split():
-            if unit.is_read:
-                table.record_read(unit.lba, current)
-            elif table.record_write(unit.lba, current):
-                counts[current] = counts.get(current, 0) + 1
+        if request.is_read:
+            table.record_reads(request.lba, request.length, current)
+            continue
+        overwrites = table.record_writes(request.lba, request.length, current,
+                                         set())
+        if overwrites:
+            counts[current] = counts.get(current, 0) + overwrites
     if not counts:
         return []
     horizon = max(counts) + 1

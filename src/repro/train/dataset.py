@@ -79,15 +79,14 @@ def extract_feature_series(
         target = int(request.time // config.slice_duration)
         while current.index < target:
             current = close_slice(current)
-        for unit in request.split():
-            if unit.is_read:
-                current.rio += 1
-                table.record_read(unit.lba, current.index)
-            else:
-                current.wio += 1
-                if table.record_write(unit.lba, current.index):
-                    current.owio += 1
-                    current.overwritten_lbas.add(unit.lba)
+        if request.is_read:
+            current.rio += request.length
+            table.record_reads(request.lba, request.length, current.index)
+        else:
+            current.wio += request.length
+            current.owio += table.record_writes(
+                request.lba, request.length, current.index,
+                current.overwritten_lbas)
     final_slice = int(run.duration // config.slice_duration)
     while current.index < final_slice:
         current = close_slice(current)

@@ -268,6 +268,13 @@ class ReferenceDetector:
                     self._current.owio += 1
                     self._current.overwritten_lbas.add(unit.lba)
 
+    def reset(self) -> None:
+        """Forget the table, window, scores and alarm; keep the cursor."""
+        self.table.clear()
+        self.window = NaiveSlidingWindow(self.config.window_slices)
+        self.scores.reset()
+        self.alarm_event = None
+
     def tick(self, now: float) -> None:
         """Close every slice boundary up to ``now``, one at a time."""
         target_slice = int(now // self.config.slice_duration)

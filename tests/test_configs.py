@@ -21,6 +21,11 @@ class TestDetectorConfig:
         with pytest.raises(ConfigError):
             DetectorConfig(slice_duration=0.0)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_rejects_non_finite_slice(self, duration):
+        with pytest.raises(ConfigError):
+            DetectorConfig(slice_duration=duration)
+
     def test_rejects_bad_window(self):
         with pytest.raises(ConfigError):
             DetectorConfig(window_slices=0)

@@ -1,5 +1,8 @@
 """CSV trace import/export."""
 
+import csv
+import random
+
 import pytest
 
 from repro.blockdev.csvtrace import load_csv_trace, save_csv_trace
@@ -110,3 +113,61 @@ class TestValidation:
         path.write_text("")
         with pytest.raises(TraceError):
             load_csv_trace(path)
+
+
+class TestMalformedInput:
+    """Bad bytes raise TraceError, never a bare Python error."""
+
+    def load(self, tmp_path, content: bytes):
+        path = tmp_path / "t.csv"
+        path.write_bytes(content)
+        return load_csv_trace(path, source_column="source")
+
+    def test_invalid_utf8_row(self, tmp_path):
+        with pytest.raises(TraceError):
+            self.load(tmp_path, b"time,lba,mode,source\n0.5,1,w,\xff\n")
+
+    def test_invalid_utf8_header(self, tmp_path):
+        with pytest.raises(TraceError):
+            self.load(tmp_path, b"ti\xfeme,lba,mode\n0.5,1,w\n")
+
+    def test_oversize_field(self, tmp_path):
+        field = b"1" * (csv.field_size_limit() + 1)
+        with pytest.raises(TraceError):
+            self.load(tmp_path, b"time,lba,mode\n0.5," + field + b",w\n")
+
+    @pytest.mark.parametrize("lba, length", [("1.5", "1"), ("1", "2.5"),
+                                             ("true", "1"), ("1", "true")])
+    def test_non_integer_block_fields(self, tmp_path, lba, length):
+        with pytest.raises(TraceError):
+            self.load(tmp_path,
+                      f"time,lba,mode,length\n0.5,{lba},w,{length}\n".encode())
+
+    def test_seeded_mutation_fuzz(self, tmp_path, sample_trace, pretrained_tree):
+        """Mutants of a saved trace load and replay, or raise TraceError."""
+        from repro.core.detector import RansomwareDetector
+
+        rng = random.Random(20_222)
+        path = tmp_path / "seed.csv"
+        save_csv_trace(sample_trace, path)
+        original = path.read_bytes()
+        for _ in range(1500):
+            mutant = bytearray(original)
+            for _ in range(rng.randrange(1, 4)):
+                at = rng.randrange(len(mutant))
+                op = rng.randrange(3)
+                if op == 0:
+                    mutant[at] = rng.randrange(256)
+                elif op == 1:
+                    mutant.insert(at, rng.randrange(256))
+                else:
+                    del mutant[at]
+            try:
+                trace = self.load(tmp_path, bytes(mutant))
+            except TraceError:
+                continue
+            # No history: a mutated timestamp may open an hours-long gap.
+            detector = RansomwareDetector(tree=pretrained_tree,
+                                          keep_history=False)
+            for request in trace:
+                detector.observe(request)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import AddressError, ConfigError
 from repro.nand.geometry import NandGeometry
+from repro.obs import Observability
+from repro.obs.flightrec import FlightRecorder
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.namespaces import NamespaceManager
@@ -56,6 +58,11 @@ class TestIsolation:
     def test_sizes_equal(self, manager):
         assert manager[0].num_lbas == manager[1].num_lbas
         assert len(manager) == 2
+
+    def test_device_detector_rejected(self, pretrained_tree):
+        device = SimulatedSSD(SSDConfig.tiny(), tree=pretrained_tree)
+        with pytest.raises(ConfigError, match="detector_enabled=False"):
+            NamespaceManager(device, count=2, tree=pretrained_tree)
 
     def test_too_many_namespaces_rejected(self, pretrained_tree):
         device = SimulatedSSD(SSDConfig.tiny(detector_enabled=False))
@@ -114,3 +121,28 @@ class TestBlastRadius:
         assert remaining  # tenant 1's entries survived
         assert all(lba >= attacked[1].start_lba for lba in remaining)
         assert len(attacked.device.ftl.queue) < queue_before
+
+
+class TestObservedDevice:
+    """Namespace I/O goes through the device's host-request seam, so an
+    armed observability bundle sees it like any other host request."""
+
+    def test_namespace_requests_are_traced_counted_and_recorded(
+            self, pretrained_tree):
+        obs = Observability.on(flight=FlightRecorder())
+        device = SimulatedSSD(SSDConfig.small(detector_enabled=False), obs=obs)
+        namespaces = NamespaceManager(device, count=2, tree=pretrained_tree)
+        for step in range(50):
+            namespaces[step % 2].write(step, b"x", now=0.01 * step)
+        for step in range(50):
+            namespaces[step % 2].read(step, now=1.0 + 0.01 * step)
+        assert device.ftl.stats.host_writes == 50
+        assert len(obs.tracer.find("ssd.request")) == 100
+        requests = obs.metrics.get("ssd_requests_total")
+        blocks = obs.metrics.get("ssd_blocks_total")
+        assert requests.value(mode="W") == requests.value(mode="R") == 50
+        assert blocks.value(mode="W") == blocks.value(mode="R") == 50
+        assert obs.flightrec.requests_recorded == 100
+        # The recorder keeps the device's physical addresses.
+        assert namespaces[1].start_lba + 1 in {
+            lba for _, lba, *_ in obs.flightrec.requests}

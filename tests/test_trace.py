@@ -1,9 +1,12 @@
 """Trace container: ordering, stats, filtering, persistence."""
 
+import random
+
 import pytest
 
 from repro.blockdev.request import IOMode, IORequest, read, write
 from repro.blockdev.trace import Trace
+from repro.core.detector import RansomwareDetector
 from repro.errors import TraceError
 
 
@@ -109,3 +112,70 @@ class TestPersistence:
         path = tmp_path / "trace.jsonl"
         path.write_text('{"t": 0.0, "lba": 1, "mode": "R", "len": 1}\n\n')
         assert len(Trace.load(path)) == 1
+
+
+def replay(trace, tree):
+    # No history: a mutated timestamp may open an hours-long gap.
+    detector = RansomwareDetector(tree=tree, keep_history=False)
+    for request in trace:
+        detector.observe(request)
+
+
+class TestMalformedInput:
+    """Bad lines raise TraceError, never a bare Python error."""
+
+    def load(self, tmp_path, content: bytes):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(content)
+        return Trace.load(path)
+
+    def test_invalid_utf8(self, tmp_path):
+        with pytest.raises(TraceError, match=":2:"):
+            self.load(tmp_path, b'{"t": 0.0, "lba": 1, "mode": "R", "len": 1}\n'
+                                b'{"t": 1.0, "lba": 1, "mode": "R", "len": 1, '
+                                b'"src": "\xff"}\n')
+
+    def test_deep_nesting(self, tmp_path):
+        with pytest.raises(TraceError):
+            self.load(tmp_path, b"[" * 100_000 + b"]" * 100_000 + b"\n")
+
+    @pytest.mark.parametrize("field, value", [
+        ("lba", "1.5"), ("len", "2.5"), ("lba", "true"), ("len", "true"),
+        ("t", "false"), ("t", '"0.5"'), ("src", "7"), ("src", "[1]"),
+    ])
+    def test_mistyped_field(self, tmp_path, field, value):
+        record = {"t": "0.5", "lba": "1", "mode": '"W"', "len": "1"}
+        record[field] = value
+        line = "{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}"
+        with pytest.raises(TraceError, match=repr(field)):
+            self.load(tmp_path, line.encode() + b"\n")
+
+    @pytest.mark.parametrize("line", [b"[1, 2]", b"7", b"null", b'"text"'])
+    def test_record_not_an_object(self, tmp_path, line):
+        with pytest.raises(TraceError):
+            self.load(tmp_path, line + b"\n")
+
+    def test_seeded_mutation_fuzz(self, tmp_path, pretrained_tree):
+        """Mutants of a saved trace load and replay, or raise TraceError."""
+        rng = random.Random(20_221)
+        path = tmp_path / "seed.jsonl"
+        Trace([read(0.0, 0, length=2, source="d\u00e9mo"),
+               write(0.5, 0, length=2), read(1.25, 10, source="b"),
+               write(2.0, 50, length=4)]).save(path)
+        original = path.read_bytes()
+        for _ in range(1500):
+            mutant = bytearray(original)
+            for _ in range(rng.randrange(1, 4)):
+                at = rng.randrange(len(mutant))
+                op = rng.randrange(3)
+                if op == 0:
+                    mutant[at] = rng.randrange(256)
+                elif op == 1:
+                    mutant.insert(at, rng.randrange(256))
+                else:
+                    del mutant[at]
+            try:
+                trace = self.load(tmp_path, bytes(mutant))
+            except TraceError:
+                continue
+            replay(trace, pretrained_tree)
