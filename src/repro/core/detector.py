@@ -47,7 +47,10 @@ class RansomwareDetector:
             :class:`DetectionEvent`, when the score first reaches the
             threshold.
         keep_history: Record every :class:`DetectionEvent` in
-            :attr:`events` (on by default; disable for long streams).
+            :attr:`events` (on by default).  Without ``max_history`` the
+            list keeps one event per slice, fast-forwarded idle slices
+            included, so a long gap costs time and memory linear in its
+            length; bound it or disable history for long streams.
         max_history: With ``keep_history``, bound :attr:`events` to the
             most recent ``max_history`` entries (drop-oldest ring;
             :attr:`dropped_events` counts evictions) so always-on history
@@ -82,6 +85,7 @@ class RansomwareDetector:
         self.events: Union[List[DetectionEvent], Deque[DetectionEvent]] = (
             deque(maxlen=max_history) if max_history is not None else []
         )
+        self._max_history = max_history
         self._events_recorded = 0
         self.alarm_event: Optional[DetectionEvent] = None
         self._current = SliceStats(index=0)
@@ -175,7 +179,8 @@ class RansomwareDetector:
         exactly what slice-by-slice closing would have produced; when
         ``keep_history`` is on, the skipped slices' (identical) events are
         still recorded so the event stream stays bit-for-bit equal to the
-        naive path.
+        naive path; a ``max_history`` ring builds only the events it
+        keeps and counts the rest as recorded and dropped.
         """
         skipped = target_slice - self._current.index
         if skipped <= 1:
@@ -201,6 +206,9 @@ class RansomwareDetector:
         alarm = score >= self.config.threshold
         if self.keep_history:
             duration = self.config.slice_duration
+            first = current.index
+            if self._max_history is not None:
+                first = max(first, target_slice - self._max_history)
             self.events.extend(
                 DetectionEvent(
                     time=(index + 1) * duration,
@@ -210,7 +218,7 @@ class RansomwareDetector:
                     score=score,
                     alarm=alarm,
                 )
-                for index in range(current.index, target_slice)
+                for index in range(first, target_slice)
             )
             self._events_recorded += skipped
         self.window.fill_idle(last_index=target_slice - 1)

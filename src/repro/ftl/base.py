@@ -292,23 +292,6 @@ class PageMappedFTL:
             self.collect_garbage()
             return self.allocator.host_block()
 
-    def _gc_program(self, lba: Optional[int], written_at: float,
-                    payload: Optional[bytes]) -> int:
-        """Program a relocation copy, remapping around verify failures."""
-        last: Optional[ProgramFailError] = None
-        for _ in range(self.MAX_PROGRAM_ATTEMPTS):
-            block = self.allocator.gc_block()
-            try:
-                return self.nand.program(block, lba, written_at, payload)
-            except ProgramFailError as exc:
-                last = exc
-                self.stats.program_fails += 1
-                self._retire_block(block)
-        raise ExhaustedRetriesError(
-            f"relocation of LBA {lba} failed program verify in "
-            f"{self.MAX_PROGRAM_ATTEMPTS} consecutive blocks"
-        ) from last
-
     def _retire_block(self, global_block: int) -> None:
         """Drain and permanently retire a block after a program failure.
 
@@ -327,7 +310,7 @@ class PageMappedFTL:
             # below can never be handed the dying block as a target.
             self.allocator.retire(global_block)
             self.victim_index.remove(global_block)
-            moved = self._relocate_per_page(global_block)
+            moved = self._relocate(global_block)
             self.stats.retirement_copies += moved
             self.nand.block(global_block).is_bad = True
             self.stats.bad_blocks += 1
@@ -427,46 +410,21 @@ class PageMappedFTL:
 
     def _relocate_and_erase(self, victim: int) -> None:
         self.stats.gc_runs += 1
-        # The bulk path reorders NAND sub-operations (all programs for a
-        # chunk, then all invalidations) without changing any end state —
-        # but a fault injector draws RNG *per program in call order*, so
-        # fault-armed devices keep the original per-page sequence to stay
-        # bit-identical with the fault-injection oracle tests.
-        if self.nand.faults is None:
-            self._relocate_bulk(victim)
-        else:
-            self._relocate_per_page(victim)
+        self._relocate(victim)
         self._erase_victim(victim)
 
-    def _relocate_per_page(self, victim: int) -> int:
-        """Relocate ``victim``'s survivors one page at a time.
+    def _relocate(self, victim: int) -> int:
+        """Copy every survivor out of ``victim``; returns the pages moved.
 
-        The path of fault-armed devices and of block retirement; returns
-        the pages moved.
-        """
-        states = self.nand.states
-        moved = 0
-        for ppa in self.nand.block_ppa_range(victim):
-            state = states[ppa]
-            if state is PageState.VALID:
-                self._copy_valid_page(ppa)
-                moved += 1
-            elif state is PageState.INVALID and self._is_pinned(ppa):
-                self._copy_pinned_page(ppa)
-                moved += 1
-        return moved
-
-    def _relocate_bulk(self, victim: int) -> None:
-        """Relocate every surviving page of ``victim`` in bulk NAND calls.
-
-        One :meth:`~repro.nand.array.NandArray.program_many` call per
-        target block (instead of a Python round-trip per page) and one
-        batched invalidation at the end, with the block listener fired
-        once per touched block.  Page placement is identical to the
-        per-page path: survivors stream into the GC active block in PPA
-        order, rolling into fresh blocks exactly where
-        :meth:`~repro.ftl.allocator.BlockAllocator.gc_block` would have
-        opened them.
+        Survivors — valid pages and recovery-pinned old versions — stream
+        into the GC active block in PPA order: one
+        :meth:`~repro.nand.array.NandArray.program_many` and one batched
+        commit per target block.  A program-verify failure is survived as
+        in :meth:`write_span`: the copies that landed are committed (so
+        retiring the target relocates them again), the target is retired,
+        and the failing page is retried in a fresh block with the
+        attempts it has left.  NAND operations and fault draws come in
+        the order of one single-page program per survivor.
         """
         nand = self.nand
         base = victim * nand.geometry.pages_per_block
@@ -480,48 +438,68 @@ class PageMappedFTL:
             elif state is PageState.INVALID and self._is_pinned(ppa):
                 survivors.append(ppa)
                 pinned.append(True)
-        if not survivors:
-            return
         lbas = nand.lbas
         written_at = nand.written_at
         payloads = nand.payloads
-        mapping = self.mapping
-        invalidations = []
-        pinned_moves = 0
         index = 0
+        failures = 0  # failed programs of the survivor at ``index`` so far
         while index < len(survivors):
             target = self.allocator.gc_block()
-            end = index + nand.block(target).free_pages
-            chunk = survivors[index:end]
-            new_ppas = nand.program_many(
-                target,
-                [lbas[ppa] for ppa in chunk],
-                [written_at[ppa] for ppa in chunk],
-                [payloads[ppa] for ppa in chunk],
-            )
-            for old_ppa, is_pinned, new_ppa in zip(chunk, pinned[index:end],
-                                                   new_ppas):
-                if is_pinned:
-                    # The relocated copy is still an *old version*: it is
-                    # immediately invalid, kept alive only by its pin.
-                    invalidations.append(new_ppa)
-                    self._on_pinned_moved(old_ppa, new_ppa)
-                    pinned_moves += 1
-                else:
-                    lba = lbas[old_ppa]
-                    if lba is None or mapping.lookup(lba) != old_ppa:
-                        raise FtlError(
-                            f"mapping invariant broken: valid page "
-                            f"{old_ppa} not the live copy of its LBA"
-                        )
-                    mapping.update(lba, new_ppa)
-                    invalidations.append(old_ppa)
-            index += len(chunk)
-        nand.invalidate_many(invalidations)
-        moved = len(survivors)
-        self.stats.gc_page_copies += moved
-        self.stats.gc_pinned_copies += pinned_moves
-        self.probe.pages_copied(moved - pinned_moves, pinned_moves)
+            chunk = survivors[index:index + nand.block(target).free_pages]
+            failure = None
+            try:
+                new_ppas = nand.program_many(
+                    target,
+                    [lbas[ppa] for ppa in chunk],
+                    [written_at[ppa] for ppa in chunk],
+                    [payloads[ppa] for ppa in chunk],
+                )
+            except ProgramFailError as exc:
+                failure = exc
+                new_ppas = range(exc.ppa - exc.landed, exc.ppa)
+            if new_ppas:
+                self._commit_copies(chunk, pinned[index:], new_ppas)
+            index += len(new_ppas)
+            if failure is None:
+                failures = 0
+                continue
+            failures = failures + 1 if not failure.landed else 1
+            self.stats.program_fails += 1
+            self._retire_block(target)
+            if failures == self.MAX_PROGRAM_ATTEMPTS:
+                raise ExhaustedRetriesError(
+                    f"relocation of LBA {lbas[survivors[index]]} failed "
+                    f"program verify in {self.MAX_PROGRAM_ATTEMPTS} "
+                    f"consecutive blocks"
+                ) from failure
+        return len(survivors)
+
+    def _commit_copies(self, old_ppas, pinned, new_ppas) -> None:
+        """Point the mapping and pins at relocated copies ``new_ppas``."""
+        lbas = self.nand.lbas
+        mapping = self.mapping
+        invalidations = []
+        pinned_copies = 0
+        for old_ppa, is_pinned, new_ppa in zip(old_ppas, pinned, new_ppas):
+            if is_pinned:
+                # The relocated copy is still an *old version*: it is
+                # immediately invalid, kept alive only by its pin.
+                invalidations.append(new_ppa)
+                self._on_pinned_moved(old_ppa, new_ppa)
+                pinned_copies += 1
+            else:
+                lba = lbas[old_ppa]
+                if lba is None or mapping.lookup(lba) != old_ppa:
+                    raise FtlError(
+                        f"mapping invariant broken: valid page "
+                        f"{old_ppa} not the live copy of its LBA"
+                    )
+                mapping.update(lba, new_ppa)
+                invalidations.append(old_ppa)
+        self.nand.invalidate_many(invalidations)
+        self.stats.gc_page_copies += len(new_ppas)
+        self.stats.gc_pinned_copies += pinned_copies
+        self.probe.pages_copied(len(new_ppas) - pinned_copies, pinned_copies)
 
     def _erase_victim(self, victim: int) -> None:
         """Erase a fully-relocated victim, surviving natural wear-out."""
@@ -539,31 +517,6 @@ class PageMappedFTL:
         self.stats.erases += 1
         self.probe.block_erased()
         self.allocator.release(victim)
-
-    def _copy_valid_page(self, ppa: int) -> None:
-        lba = self.nand.lbas[ppa]
-        if lba is None or self.mapping.lookup(lba) != ppa:
-            raise FtlError(
-                f"mapping invariant broken: valid page {ppa} not the live copy of its LBA"
-            )
-        new_ppa = self._gc_program(lba, self.nand.written_at[ppa],
-                                   self.nand.payloads[ppa])
-        self.mapping.update(lba, new_ppa)
-        self.nand.invalidate(ppa)
-        self.stats.gc_page_copies += 1
-        self.probe.pages_copied(1, 0)
-
-    def _copy_pinned_page(self, ppa: int) -> None:
-        nand = self.nand
-        new_ppa = self._gc_program(nand.lbas[ppa], nand.written_at[ppa],
-                                   nand.payloads[ppa])
-        # The relocated copy is still an *old version*, so it is immediately
-        # invalid; only the recovery queue keeps it alive.
-        self.nand.invalidate(new_ppa)
-        self._on_pinned_moved(ppa, new_ppa)
-        self.stats.gc_page_copies += 1
-        self.stats.gc_pinned_copies += 1
-        self.probe.pages_copied(0, 1)
 
     # -- power-loss recovery ------------------------------------------------
 

@@ -9,6 +9,11 @@ entry.  The production path now moves one *run* of blocks per call
 ``RecoveryQueue.log_run``).  This module keeps the per-block loop, built
 from the same single-page NAND and single-entry queue primitives, so the
 equivalence tests can require both paths to leave identical state behind.
+Likewise GC, block retirement, wear levelling and scrubbing used to
+relocate one page per NAND program, remapping each copy around verify
+failures on its own; :meth:`BlockPathFTL._relocate` keeps that loop to
+check ``PageMappedFTL._relocate``, which programs one chunk per target
+block.
 
 Use :class:`BlockPathSSD` in place of
 :class:`~repro.ssd.device.SimulatedSSD`; its FTL (also after a power
@@ -24,17 +29,18 @@ from repro.errors import (
     AddressError,
     DeviceReadOnlyError,
     ExhaustedRetriesError,
+    FtlError,
     ProgramFailError,
     UncorrectableReadError,
     UnmappedReadError,
 )
 from repro.ftl.insider import InsiderFTL
-from repro.nand.block import PageInfo
+from repro.nand.block import PageInfo, PageState
 from repro.ssd.device import SimulatedSSD
 
 
 class BlockPathFTL(InsiderFTL):
-    """An Insider FTL whose host reads and writes go one block at a time."""
+    """An Insider FTL whose host I/O and relocation go one page at a time."""
 
     def read(self, lba: int, timestamp: float = 0.0) -> PageInfo:
         """Read the live version of ``lba``."""
@@ -93,6 +99,64 @@ class BlockPathFTL(InsiderFTL):
             f"write of LBA {lba} failed program verify in "
             f"{self.MAX_PROGRAM_ATTEMPTS} consecutive blocks"
         ) from last
+
+
+    def _relocate(self, victim: int) -> int:
+        """Relocate ``victim``'s survivors one page program at a time."""
+        states = self.nand.states
+        moved = 0
+        for ppa in self.nand.block_ppa_range(victim):
+            state = states[ppa]
+            if state is PageState.VALID:
+                self._copy_valid_page(ppa)
+                moved += 1
+            elif state is PageState.INVALID and self._is_pinned(ppa):
+                self._copy_pinned_page(ppa)
+                moved += 1
+        return moved
+
+    def _gc_program(self, lba: Optional[int], written_at: float,
+                    payload: Optional[bytes]) -> int:
+        """Program a relocation copy, remapping around verify failures."""
+        last: Optional[ProgramFailError] = None
+        for _ in range(self.MAX_PROGRAM_ATTEMPTS):
+            block = self.allocator.gc_block()
+            try:
+                return self.nand.program(block, lba, written_at, payload)
+            except ProgramFailError as exc:
+                last = exc
+                self.stats.program_fails += 1
+                self._retire_block(block)
+        raise ExhaustedRetriesError(
+            f"relocation of LBA {lba} failed program verify in "
+            f"{self.MAX_PROGRAM_ATTEMPTS} consecutive blocks"
+        ) from last
+
+    def _copy_valid_page(self, ppa: int) -> None:
+        lba = self.nand.lbas[ppa]
+        if lba is None or self.mapping.lookup(lba) != ppa:
+            raise FtlError(
+                f"mapping invariant broken: valid page {ppa} not the live "
+                f"copy of its LBA"
+            )
+        new_ppa = self._gc_program(lba, self.nand.written_at[ppa],
+                                   self.nand.payloads[ppa])
+        self.mapping.update(lba, new_ppa)
+        self.nand.invalidate(ppa)
+        self.stats.gc_page_copies += 1
+        self.probe.pages_copied(1, 0)
+
+    def _copy_pinned_page(self, ppa: int) -> None:
+        nand = self.nand
+        new_ppa = self._gc_program(nand.lbas[ppa], nand.written_at[ppa],
+                                   nand.payloads[ppa])
+        # The relocated copy is still an *old version*, so it is
+        # immediately invalid; only the recovery queue keeps it alive.
+        nand.invalidate(new_ppa)
+        self._on_pinned_moved(ppa, new_ppa)
+        self.stats.gc_page_copies += 1
+        self.stats.gc_pinned_copies += 1
+        self.probe.pages_copied(0, 1)
 
 
 class BlockPathSSD(SimulatedSSD):

@@ -3,7 +3,8 @@
 Every device kind replays the same golden slice (WannaCry over cloud
 storage) twice: through :class:`~repro.ssd.device.SimulatedSSD`, whose
 requests reach the FTL, NAND and recovery queue one block *run* per call,
-and through the per-block oracle in ``tests/oracles/blockpath.py``.  The
+and through the per-block oracle in ``tests/oracles/blockpath.py``, whose
+GC and block retirement also relocate one page program at a time.  The
 two must agree on the device and FTL counters, the rollback reports, every
 NAND page, the recovery queue and its pins, the media-fault counters and,
 when observability is armed, every tracer instant, metric and incident
@@ -72,7 +73,9 @@ def _replay(device_class, kind):
     run = golden_scenario(duration=DURATION).build(seed=GOLDEN_SEED,
                                                    duration=DURATION)
     num_lbas = device.num_lbas
-    tally = {"refused": 0, "mid_request_failures": 0}
+    tally = {"refused": 0, "mid_request_failures": 0,
+             "relocation_program_fails": 0}
+    _count_relocation_program_fails(device, tally)
     locked = 0
     for index, request in enumerate(run.trace):
         if kind == "exhausted":
@@ -106,6 +109,22 @@ def _replay(device_class, kind):
                 device.dismiss_alarm()
     device.tick(run.duration)
     return device, tally
+
+
+def _count_relocation_program_fails(device, tally):
+    """Tally verify failures of programs into the device's GC block."""
+    nand = device.nand
+    program_many = nand.program_many
+
+    def counting_program_many(global_block, *pages):
+        try:
+            return program_many(global_block, *pages)
+        except ProgramFailError:
+            if global_block == device.ftl.allocator.gc_active:
+                tally["relocation_program_fails"] += 1
+            raise
+
+    nand.program_many = counting_program_many
 
 
 def _snapshot(device):
@@ -169,6 +188,7 @@ def test_run_path_matches_per_block_loop(kind):
         assert device.ftl.stats.program_fails > 0
     if kind == "exhausted":
         assert tally["mid_request_failures"] == stats.failed_writes == 1
+        assert tally["relocation_program_fails"] > 0
     if kind == "strict_read_only":
         assert tally["refused"] > 0 and stats.dropped_writes == 0
     if kind == "dropping_read_only":

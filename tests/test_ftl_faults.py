@@ -23,23 +23,21 @@ def make_ftl(config=None, insider=False, **kwargs):
     return cls(nand, op_ratio=0.45, **kwargs)
 
 
-class FailNextInjector(FaultInjector):
-    """Test double: fail the next N program verifies, then heal."""
+class ScriptedInjector(FaultInjector):
+    """Test double: answer program verifies from a script (True fails
+    one), then pass."""
 
-    def __init__(self, fail_programs=1):
+    def __init__(self, outcomes):
         super().__init__(FaultConfig())
-        self.remaining = fail_programs
+        self.outcomes = list(outcomes)
 
     def on_program(self, global_block):
-        if self.remaining > 0:
-            self.remaining -= 1
-            return True
-        return False
+        return self.outcomes.pop(0) if self.outcomes else False
 
 
 def ftl_with_scripted_programs(fail_programs, insider=False, **kwargs):
     nand = NandArray(GEOMETRY)
-    nand.faults = FailNextInjector(fail_programs)
+    nand.faults = ScriptedInjector([True] * fail_programs)
     cls = InsiderFTL if insider else ConventionalFTL
     return cls(nand, op_ratio=0.45, **kwargs)
 
@@ -66,7 +64,7 @@ class TestProgramFailRemap:
         victim_block = first // GEOMETRY.pages_per_block
         # Arm the injector now: the next write lands in the same active
         # block and fails verify, forcing that block's retirement.
-        ftl.nand.faults = FailNextInjector(1)
+        ftl.nand.faults = ScriptedInjector([True])
         ftl.write(1, 2.0, payload=b"trigger")
         assert ftl.nand.block(victim_block).is_bad
         assert ftl.read(0).payload == b"keep-me"
@@ -82,7 +80,7 @@ class TestProgramFailRemap:
     def test_mapping_untouched_when_write_fails(self):
         ftl = ftl_with_scripted_programs(0)
         ftl.write(5, 1.0, payload=b"old")
-        ftl.nand.faults = FailNextInjector(10_000)
+        ftl.nand.faults = ScriptedInjector([True] * 10_000)
         with pytest.raises(ExhaustedRetriesError):
             ftl.write(5, 2.0, payload=b"new")
         ftl.nand.faults = None
@@ -146,6 +144,60 @@ class TestInsiderRetirement:
         ftl._retire_block(block)
         assert ftl.stats.bad_blocks == bad_before
         ftl.audit_victim_index()
+
+
+class TestRelocationRetries:
+    def test_attempts_restart_after_landed_copies(self):
+        """One GC relocation under scripted verify failures: a failure
+        with nothing landed counts toward the page's limit, a failure
+        after copies landed restarts the count at one, and the fourth
+        consecutive failure of one page raises with every landed copy
+        committed."""
+        ftl = ftl_with_scripted_programs(0, insider=True, retention=10.0)
+        ftl.write(0, 1.0, payload=b"lba0-v1")
+        ftl.write(1, 1.0, payload=b"lba1")
+        ftl.write(0, 2.0, payload=b"lba0-v2")
+        for lba in range(2, 7):
+            ftl.write(lba, 2.0, payload=b"lba%d" % lba)
+        victim = 0
+        assert ftl.nand.block(victim).is_full
+        # Survivors in PPA order: lba0-v1 (pinned), lba1, lba0-v2, ...
+        assert ftl.queue.is_pinned(0)
+        fail, land = True, False
+        injector = ScriptedInjector([
+            fail,              # survivor 0 in G1, nothing landed: 1
+            fail,              # survivor 0 in G2: 2
+            land, land, fail,  # survivors 0-1 land in G3, 2 fails: 1
+            land, land,        # retiring G3 moves both copies to G4
+            fail, land, land,  # survivor 2 in G4: 2; copies to G5
+            fail, land, land,  # in G5: 3; copies to G6
+            fail, land, land,  # in G6: 4; copies to G7, then give up
+        ])
+        ftl.nand.faults = injector
+        with pytest.raises(ExhaustedRetriesError):
+            ftl._relocate_and_erase(victim)
+        assert not injector.outcomes
+        assert ftl.stats.program_fails == 6
+        assert ftl.stats.bad_blocks == 6
+        assert ftl.stats.retirement_copies == 4 * 2
+        victim_ppas = ftl.nand.block_ppa_range(victim)
+        # The landed copies are committed: the live one is mapped, the
+        # old version's pin followed it.
+        assert ftl.mapping.lookup(1) not in victim_ppas
+        assert ftl.read(1).payload == b"lba1"
+        pins = [ppa for ppa in range(GEOMETRY.pages_total)
+                if ftl.queue.is_pinned(ppa)]
+        assert len(pins) == 1 and pins[0] not in victim_ppas
+        assert ftl.nand.page(pins[0]).payload == b"lba0-v1"
+        # The rest never left the victim, which was not erased.
+        assert not ftl.nand.block(victim).is_bad
+        assert ftl.mapping.lookup(0) in victim_ppas
+        assert ftl.read(0).payload == b"lba0-v2"
+        for lba in range(2, 7):
+            assert ftl.mapping.lookup(lba) in victim_ppas
+            assert ftl.read(lba).payload == b"lba%d" % lba
+        ftl.audit_victim_index()
+        ftl.queue.audit()
 
 
 class TestFactoryMapOut:

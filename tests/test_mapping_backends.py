@@ -126,8 +126,9 @@ def test_backends_identical_through_soak(policy):
 
 
 def test_backends_identical_under_media_faults():
-    """Program/erase failures retire blocks mid-GC (the per-page
-    relocation path) — the backends must still match bit for bit."""
+    """Program/erase failures retire blocks mid-GC (relocation retries
+    around verify failures) — the backends must still match bit for
+    bit."""
     faults = FaultConfig(seed=11, program_fail_rate=0.002,
                          erase_fail_rate=0.01, factory_bad_blocks=1)
     ops = op_stream(seed=42, num_lbas=112)
