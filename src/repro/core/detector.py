@@ -9,9 +9,8 @@ alarm once the score reaches the threshold.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Union
+from typing import Callable, List, Optional
 
 from repro.blockdev.request import IOMode, IORequest
 from repro.core.config import DetectorConfig
@@ -47,14 +46,10 @@ class RansomwareDetector:
             :class:`DetectionEvent`, when the score first reaches the
             threshold.
         keep_history: Record every :class:`DetectionEvent` in
-            :attr:`events` (on by default).  Without ``max_history`` the
-            list keeps one event per slice, fast-forwarded idle slices
-            included, so a long gap costs time and memory linear in its
-            length; bound it or disable history for long streams.
-        max_history: With ``keep_history``, bound :attr:`events` to the
-            most recent ``max_history`` entries (drop-oldest ring;
-            :attr:`dropped_events` counts evictions) so always-on history
-            in long sweeps cannot grow without bound.
+            :attr:`events` (on by default).  The list keeps one event per
+            slice, fast-forwarded idle slices included, so a long gap
+            costs time and memory linear in its length; disable history
+            for long streams.
         probe: Where every closed slice and fast-forwarded gap is
             published (the device passes its own); the shared null probe
             by default.  Publishing only records, never steers: the
@@ -67,7 +62,6 @@ class RansomwareDetector:
         config: Optional[DetectorConfig] = None,
         on_alarm: Optional[Callable[[DetectionEvent], None]] = None,
         keep_history: bool = True,
-        max_history: Optional[int] = None,
         probe: Probe = NULL_PROBE,
     ) -> None:
         self.config = config or DetectorConfig()
@@ -82,11 +76,7 @@ class RansomwareDetector:
         self.table = CountingTable()
         self.window = SlidingWindow(self.config.window_slices)
         self.scores = ScoreTracker(self.config.window_slices)
-        self.events: Union[List[DetectionEvent], Deque[DetectionEvent]] = (
-            deque(maxlen=max_history) if max_history is not None else []
-        )
-        self._max_history = max_history
-        self._events_recorded = 0
+        self.events: List[DetectionEvent] = []
         self.alarm_event: Optional[DetectionEvent] = None
         self._current = SliceStats(index=0)
         self._next_boundary = self._slice_start(1)
@@ -105,11 +95,6 @@ class RansomwareDetector:
     def score(self) -> int:
         """Current window score."""
         return self.scores.score
-
-    @property
-    def dropped_events(self) -> int:
-        """History entries evicted by the ``max_history`` ring so far."""
-        return max(0, self._events_recorded - len(self.events))
 
     def observe(self, request: IORequest) -> None:
         """Ingest one request header (multi-block requests are split).
@@ -179,8 +164,7 @@ class RansomwareDetector:
         exactly what slice-by-slice closing would have produced; when
         ``keep_history`` is on, the skipped slices' (identical) events are
         still recorded so the event stream stays bit-for-bit equal to the
-        naive path; a ``max_history`` ring builds only the events it
-        keeps and counts the rest as recorded and dropped.
+        naive path.
         """
         skipped = target_slice - self._current.index
         if skipped <= 1:
@@ -206,9 +190,6 @@ class RansomwareDetector:
         alarm = score >= self.config.threshold
         if self.keep_history:
             duration = self.config.slice_duration
-            first = current.index
-            if self._max_history is not None:
-                first = max(first, target_slice - self._max_history)
             self.events.extend(
                 DetectionEvent(
                     time=(index + 1) * duration,
@@ -218,9 +199,8 @@ class RansomwareDetector:
                     score=score,
                     alarm=alarm,
                 )
-                for index in range(first, target_slice)
+                for index in range(current.index, target_slice)
             )
-            self._events_recorded += skipped
         self.window.fill_idle(last_index=target_slice - 1)
         self.fast_forwarded_slices += skipped
         self.probe.slices_skipped(self, features, verdict, score, alarm,
@@ -245,7 +225,6 @@ class RansomwareDetector:
         )
         if self.keep_history:
             self.events.append(event)
-            self._events_recorded += 1
         self.probe.slice_closed(self, event)
         if alarm and self.alarm_event is None:
             self.alarm_event = event

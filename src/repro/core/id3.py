@@ -174,6 +174,18 @@ class DecisionTree:
         # and discarded whenever the tree's structure changes.
         self._node_id_cache: Optional[Dict[int, int]] = None
 
+    @classmethod
+    def constant(cls, label: int) -> "DecisionTree":
+        """A one-leaf tree that answers ``label`` for every row.
+
+        Replays that read only the detector's features and counting table
+        drive the detector with it: those never depend on the tree, and
+        the default tree may itself be trained from such a replay.
+        """
+        tree = cls()
+        tree.root = TreeNode(label=label)
+        return tree
+
     # -- training ---------------------------------------------------------
 
     def fit(self, features: Sequence[Sequence[float]], labels: Sequence[int]) -> "DecisionTree":

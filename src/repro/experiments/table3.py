@@ -15,11 +15,11 @@ from typing import Optional
 
 from repro.analysis.report import render_table
 from repro.core.config import DetectorConfig
-from repro.core.counting_table import CountingTable
+from repro.core.detector import RansomwareDetector
+from repro.core.id3 import DecisionTree
 from repro.core.memory import MemoryBudget, paper_memory_budget
 from repro.rand import derive_seed
 from repro.units import MIB
-from repro.workloads.catalog import testing_scenarios
 from repro.workloads.scenario import Scenario
 
 
@@ -56,25 +56,17 @@ class Table3Result:
 def run(seed: int = 0, duration: float = 30.0,
         config: Optional[DetectorConfig] = None) -> Table3Result:
     """Print the paper's budget and measure live structure peaks."""
-    config = config or DetectorConfig()
     scenario = Scenario("table3-probe", ransomware="wannacry", app="iometer",
                         onset=5.0)
     scenario_run = scenario.build(
         seed=derive_seed(seed, "table3"), duration=duration
     )
-    table = CountingTable()
-    current_slice = 0
+    detector = RansomwareDetector(tree=DecisionTree.constant(0),
+                                  config=config, keep_history=False)
+    table = detector.table
     peak_hash = peak_entries = 0
     for request in scenario_run.trace:
-        target = int(request.time // config.slice_duration)
-        while current_slice < target:
-            current_slice += 1
-            table.expire(current_slice - config.window_slices)
-        if request.is_read:
-            table.record_reads(request.lba, request.length, current_slice)
-        else:
-            table.record_writes(request.lba, request.length, current_slice,
-                                set())
+        detector.observe(request)
         peak_hash = max(peak_hash, table.hash_entries)
         peak_entries = max(peak_entries, len(table))
     return Table3Result(

@@ -23,7 +23,11 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
 from repro.rand import derive_rng, derive_seed
-from repro.workloads.catalog import TESTING_SCENARIOS, TRAINING_SCENARIOS
+from repro.workloads.catalog import (
+    TESTING_SCENARIOS,
+    TRAINING_SCENARIOS,
+    scenarios_by_name,
+)
 from repro.workloads.scenario import Scenario
 
 #: Default logical span of each fleet device, in 4-KB blocks.  Smaller
@@ -41,11 +45,6 @@ DEFAULT_BENIGN_FRACTION = 0.5
 #: Hex digits in a device id (48 bits — collision-free in practice for
 #: fleets far beyond a million devices).
 DEVICE_ID_DIGITS = 12
-
-
-def _catalog_by_name() -> Dict[str, Scenario]:
-    """All named Table I scenarios, training and testing."""
-    return {s.name: s for s in (*TRAINING_SCENARIOS, *TESTING_SCENARIOS)}
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ class ScenarioMix:
 
     def resolve(self, name: str) -> Scenario:
         """Look one scenario up by name (raises on unknown names)."""
-        catalog = _catalog_by_name()
+        catalog = scenarios_by_name()
         if name not in catalog:
             raise WorkloadError(
                 f"unknown scenario {name!r} (catalog has "
@@ -260,7 +259,7 @@ class FleetPlan:
         rng = derive_rng(self.seed, "fleet-draw", str(index))
         scenario_name = self.mix.draw(rng)
         benign = False
-        catalog = _catalog_by_name()
+        catalog = scenarios_by_name()
         scenario = catalog.get(scenario_name)
         has_app = scenario.app is not None if scenario is not None else False
         # Burn the benign draw unconditionally so the stream layout (and
@@ -348,5 +347,5 @@ class FleetPlan:
 
 def scenario_category(name: str) -> str:
     """Catalog category of a scenario name ('unknown' when absent)."""
-    scenario = _catalog_by_name().get(name)
+    scenario = scenarios_by_name().get(name)
     return scenario.category if scenario is not None else "unknown"

@@ -189,8 +189,10 @@ class PageMappedFTL:
           LBA is retried in a fresh block with the attempts it has left.
 
         Only :class:`~repro.errors.ExhaustedRetriesError` — every
-        replacement block failing too — surfaces, with ``written``
-        counting the blocks written before it.  The LBAs before the first
+        replacement block failing too — and
+        :class:`~repro.errors.OutOfSpaceError` — retirements having eaten
+        the spare blocks — surface, with ``written`` counting the blocks
+        written before them.  The LBAs before the first
         one outside the logical space are written, then
         :class:`~repro.errors.AddressError` is raised for it.
         """
@@ -242,7 +244,7 @@ class PageMappedFTL:
                 lba += count
                 failures = 0
                 ppa = ppas[-1]
-        except ExhaustedRetriesError as exc:
+        except (ExhaustedRetriesError, OutOfSpaceError) as exc:
             # Also raised by a relocation under the span (GC or
             # retirement): either way the span stops at ``lba``.
             exc.written = lba - start

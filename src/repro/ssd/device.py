@@ -25,6 +25,7 @@ from repro.errors import (
     AddressError,
     DeviceReadOnlyError,
     ExhaustedRetriesError,
+    OutOfSpaceError,
     RecoveryError,
 )
 from repro.faults.injector import FaultInjector
@@ -404,9 +405,9 @@ class SimulatedSSD:
         """Write ``length`` blocks; those arriving while read-only are dropped.
 
         One FTL call per span.  When every remap target fails program
-        verify, the failing block is counted, the device locks down, and
-        the rest of the span meets the read-only lockdown like any later
-        write.
+        verify, or retired blocks leave no free one, the failing block is
+        counted, the device locks down, and the rest of the span meets
+        the read-only lockdown like any later write.
         """
         stats = self.stats
         # Content-aware models (repro.core.entropy.HybridDetector) sample
@@ -425,16 +426,17 @@ class SimulatedSSD:
                 return
             try:
                 self.ftl.write_span(lba, length, self.clock.now, payload)
-                done, failed = length, False
+                done, failure = length, None
             except ExhaustedRetriesError as exc:
-                done, failed = exc.written + 1, True
+                done, failure = exc.written + 1, "program_retries_exhausted"
+            except OutOfSpaceError as exc:
+                done, failure = exc.written + 1, "out_of_space"
             if observe_write is not None:
                 for _ in range(done):
                     observe_write(payload)
             stats.writes += done
             lba += done
             length -= done
-            if failed:
+            if failure is not None:
                 stats.failed_writes += 1
-                self._media_degrade("program_retries_exhausted",
-                                    lockdown=True, lba=lba - 1)
+                self._media_degrade(failure, lockdown=True, lba=lba - 1)

@@ -19,7 +19,8 @@ from typing import Optional
 
 from repro.blockdev.trace import Trace
 from repro.core.config import DetectorConfig
-from repro.core.counting_table import CountingTable
+from repro.core.detector import RansomwareDetector
+from repro.core.id3 import DecisionTree
 from repro.nand.latency import NandLatencies
 from repro.units import NS
 
@@ -113,29 +114,26 @@ class LatencyModel:
 def profile_trace(trace: Trace, config: Optional[DetectorConfig] = None) -> TraceProfile:
     """Measure a trace's counting-table hit and overwrite rates.
 
-    Replays the trace through a real counting table with the detector's
-    slice/window expiry so the rates reflect exactly the work the insider
-    code path would do.
+    Replays the trace through the detector, so the rates reflect exactly
+    the work the insider code path would do.  A block hits when the
+    counting table indexes it as its request arrives: recording one block
+    of a request never adds or drops the entry of a later block.
     """
-    config = config or DetectorConfig()
-    table = CountingTable()
+    detector = RansomwareDetector(tree=DecisionTree.constant(0),
+                                  config=config, keep_history=False)
+    entry_for = detector.table.entry_for
     reads = writes = read_hits = overwrites = 0
-    current_slice = 0
     for request in trace:
-        target = int(request.time // config.slice_duration)
-        while current_slice < target:
-            current_slice += 1
-            table.expire(current_slice - config.window_slices)
-        for unit in request.split():
-            if unit.is_read:
-                reads += 1
-                if table.entry_for(unit.lba) is not None:
-                    read_hits += 1
-                table.record_read(unit.lba, current_slice)
-            else:
-                writes += 1
-                if table.record_write(unit.lba, current_slice):
-                    overwrites += 1
+        # Expire before probing, or entries older than the window count.
+        detector.tick(request.time)
+        hits = sum(entry_for(lba) is not None for lba in request.lbas())
+        if request.is_read:
+            reads += request.length
+            read_hits += hits
+        else:
+            writes += request.length
+            overwrites += hits
+        detector.observe(request)
     return TraceProfile(
         reads=reads,
         writes=writes,

@@ -32,11 +32,7 @@ from repro.nand.geometry import NandGeometry
 from repro.obs import Observability
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SimulatedSSD
-from repro.workloads.catalog import testing_scenarios, training_scenarios
-
-
-def _catalog():
-    return {s.name: s for s in training_scenarios() + testing_scenarios()}
+from repro.workloads.catalog import scenarios_by_name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,7 +119,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Replay the scenario under observation; returns the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    catalog = _catalog()
+    catalog = scenarios_by_name()
     if args.list:
         for name in sorted(catalog):
             print(name)

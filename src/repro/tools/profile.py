@@ -39,7 +39,7 @@ from repro.blockdev.request import IORequest
 from repro.obs.prof import LayerProfiler, build_report
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SimulatedSSD
-from repro.workloads.catalog import testing_scenarios, training_scenarios
+from repro.workloads.catalog import scenarios_by_name
 from repro.workloads.scenario import Scenario
 
 #: Coverage floor asserted by ``--check``: attributed exclusive time must
@@ -52,10 +52,6 @@ GOLDEN = "golden"
 
 #: Seed of the golden scenario replay.
 GOLDEN_SEED = 20180706
-
-
-def _catalog() -> Dict[str, Scenario]:
-    return {s.name: s for s in training_scenarios() + testing_scenarios()}
 
 
 def golden_scenario(duration: float = 60.0) -> Scenario:
@@ -322,7 +318,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Profile the scenario replay; returns the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    catalog = _catalog()
+    catalog = scenarios_by_name()
     if args.list:
         print(GOLDEN)
         for name in sorted(catalog):

@@ -12,8 +12,8 @@ from typing import List, Optional
 
 from repro.analysis.report import render_sparkline, render_table
 from repro.blockdev.trace import Trace
-from repro.core.config import DetectorConfig
-from repro.core.counting_table import CountingTable
+from repro.core.detector import RansomwareDetector
+from repro.core.id3 import DecisionTree
 from repro.ssd.timing import profile_trace
 
 
@@ -61,27 +61,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _owio_per_second(trace: Trace) -> list:
-    """Per-second overwrite counts under the detector's definition."""
-    config = DetectorConfig()
-    table = CountingTable()
-    counts: dict = {}
-    current = 0
+    """Per-slice overwrite counts (the OWIO feature), up to the last nonzero."""
+    detector = RansomwareDetector(tree=DecisionTree.constant(0))
     for request in trace:
-        target = int(request.time // config.slice_duration)
-        while current < target:
-            current += 1
-            table.expire(current - config.window_slices)
-        if request.is_read:
-            table.record_reads(request.lba, request.length, current)
-            continue
-        overwrites = table.record_writes(request.lba, request.length, current,
-                                         set())
-        if overwrites:
-            counts[current] = counts.get(current, 0) + overwrites
-    if not counts:
-        return []
-    horizon = max(counts) + 1
-    return [counts.get(second, 0) for second in range(horizon)]
+        detector.observe(request)
+    # Close the slice holding the last request.
+    detector.tick(trace.end_time + detector.config.slice_duration)
+    series = [int(event.features.owio) for event in detector.events]
+    while series and not series[-1]:
+        series.pop()
+    return series
 
 
 if __name__ == "__main__":

@@ -1,22 +1,23 @@
 """Per-slice labelled feature datasets.
 
-A scenario run is replayed through the detector front-end (counting table +
-sliding window, no tree) to obtain one six-feature row per time slice; the
-run's ground truth labels each slice ransomware-active or not.  Those rows
-are what the ID3 tree trains on.
+A scenario run is replayed through :class:`RansomwareDetector` itself (with
+a one-leaf tree: the features never depend on the tree) to obtain one
+six-feature row per time slice, so the tree trains on exactly the features
+it is later served; the run's ground truth labels each slice
+ransomware-active or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import DetectorConfig
-from repro.core.counting_table import CountingTable
-from repro.core.features import FeatureVector, compute_features
-from repro.core.window import SliceStats, SlidingWindow
+from repro.core.detector import RansomwareDetector
+from repro.core.features import FeatureVector
+from repro.core.id3 import DecisionTree
 from repro.errors import TrainingError
 from repro.rand import derive_seed
 from repro.workloads.scenario import Scenario, ScenarioRun
@@ -57,40 +58,16 @@ class Dataset:
 def extract_feature_series(
     run: ScenarioRun, config: Optional[DetectorConfig] = None
 ) -> List[Tuple[int, FeatureVector]]:
-    """Replay a run through the detector front-end.
+    """Replay a run through the detector.
 
     Returns ``(slice_index, features)`` for every closed slice up to the
-    run's duration — the same values Algorithm 1 line 3 would compute.
+    run's duration — the values Algorithm 1 line 3 computes.
     """
-    config = config or DetectorConfig()
-    table = CountingTable()
-    window = SlidingWindow(config.window_slices)
-    series: List[Tuple[int, FeatureVector]] = []
-    current = SliceStats(index=0)
-
-    def close_slice(current: SliceStats) -> SliceStats:
-        window.push(current)
-        series.append((current.index, compute_features(table, window)))
-        next_index = current.index + 1
-        table.expire(next_index - config.window_slices)
-        return SliceStats(index=next_index)
-
+    detector = RansomwareDetector(tree=DecisionTree.constant(0), config=config)
     for request in run.trace:
-        target = int(request.time // config.slice_duration)
-        while current.index < target:
-            current = close_slice(current)
-        if request.is_read:
-            current.rio += request.length
-            table.record_reads(request.lba, request.length, current.index)
-        else:
-            current.wio += request.length
-            current.owio += table.record_writes(
-                request.lba, request.length, current.index,
-                current.overwritten_lbas)
-    final_slice = int(run.duration // config.slice_duration)
-    while current.index < final_slice:
-        current = close_slice(current)
-    return series
+        detector.observe(request)
+    detector.tick(run.duration)
+    return [(event.slice_index, event.features) for event in detector.events]
 
 
 def dataset_from_run(

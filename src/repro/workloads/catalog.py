@@ -7,7 +7,7 @@ background-application category appears on both sides.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.workloads.apps import (
     CPU_INTENSIVE,
@@ -87,3 +87,8 @@ def testing_scenarios(category: str = "") -> List[Scenario]:
     if not category:
         return list(TESTING_SCENARIOS)
     return [s for s in TESTING_SCENARIOS if s.category == category]
+
+
+def scenarios_by_name() -> Dict[str, Scenario]:
+    """Every Table I scenario, training and testing, keyed by name."""
+    return {s.name: s for s in (*TRAINING_SCENARIOS, *TESTING_SCENARIOS)}

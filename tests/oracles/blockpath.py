@@ -30,6 +30,7 @@ from repro.errors import (
     DeviceReadOnlyError,
     ExhaustedRetriesError,
     FtlError,
+    OutOfSpaceError,
     ProgramFailError,
     UncorrectableReadError,
     UnmappedReadError,
@@ -78,7 +79,7 @@ class BlockPathFTL(InsiderFTL):
         for offset in range(length):
             try:
                 ppa = self.write(lba + offset, timestamp, payload)
-            except ExhaustedRetriesError as exc:
+            except (ExhaustedRetriesError, OutOfSpaceError) as exc:
                 exc.written = offset
                 raise
         return ppa
@@ -218,3 +219,6 @@ class BlockPathSSD(SimulatedSSD):
             self.stats.failed_writes += 1
             self._media_degrade("program_retries_exhausted", lockdown=True,
                                 lba=lba)
+        except OutOfSpaceError:
+            self.stats.failed_writes += 1
+            self._media_degrade("out_of_space", lockdown=True, lba=lba)

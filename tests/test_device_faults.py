@@ -131,6 +131,36 @@ class TestGracefulDegradation:
         assert device.degraded
         assert device.read_only
 
+    @pytest.mark.parametrize("fault_seed", [1, 2, 3])
+    def test_spare_pool_exhaustion_locks_the_device(self, fault_seed):
+        """Retirements that eat every spare block end the span in a
+        lockdown, the way exhausted program retries do, instead of an
+        ``OutOfSpaceError`` escaping ``submit``."""
+        device = SimulatedSSD(SSDConfig.small(faults=FaultConfig(
+            seed=fault_seed, program_fail_rate=0.01, erase_fail_rate=0.002)))
+        reasons = []
+        degrade = device._media_degrade
+
+        def record(reason, lockdown, **details):
+            reasons.append(reason)
+            degrade(reason, lockdown, **details)
+
+        device._media_degrade = record
+        num_lbas = device.num_lbas
+        for request in golden_scenario(10.0).build(seed=GOLDEN_SEED).trace:
+            lba = request.lba % max(1, num_lbas - request.length)
+            device.submit(IORequest(time=request.time, lba=lba,
+                                    mode=request.mode, length=request.length,
+                                    source=request.source))
+            if device.read_only and not device.degraded:
+                device.dismiss_alarm()
+        assert reasons == ["out_of_space"]
+        assert device.degraded and device.read_only
+        assert device.stats.failed_writes == 1
+        assert device.stats.dropped_writes > 0
+        device.ftl.audit_victim_index()
+        device.ftl.queue.audit()
+
     def test_uncorrectable_read_degrades_without_lockdown(self):
         config = SSDConfig.tiny(
             detector_enabled=False,

@@ -193,22 +193,12 @@ class TestGoldenScenarioAttribution:
         assert bundle["attribution"]["near_misses"][0]["score"] == 2
 
 
-class TestDetectorHistoryRing:
-    def test_max_history_bounds_events(self):
-        tree = DecisionTree()
-        tree.root = TreeNode(label=0)
-        detector = RansomwareDetector(tree=tree, max_history=5)
-        detector.tick(12.0)
-        assert len(detector.events) == 5
-        assert detector.dropped_events == 7
-        assert [event.slice_index for event in detector.events] == list(
-            range(7, 12)
-        )
-
+class TestDetectorHistory:
     def test_unbounded_history_never_drops(self):
         tree = DecisionTree()
         tree.root = TreeNode(label=0)
         detector = RansomwareDetector(tree=tree)
         detector.tick(12.0)
-        assert len(detector.events) == 12
-        assert detector.dropped_events == 0
+        assert [event.slice_index for event in detector.events] == list(
+            range(12)
+        )

@@ -12,9 +12,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-import repro.core.detector as detector_module
 from repro.blockdev.request import read, write
 from repro.core.config import DetectorConfig
 from repro.core.counting_table import CountingTable
@@ -118,35 +115,6 @@ class TestIdleGapEquivalence:
         # The ~400-slice gap must be jumped, not walked.
         assert fast.fast_forwarded_slices >= 300
         assert fast.events == []
-
-    @pytest.mark.parametrize("max_history", [1, 5, 1000])
-    def test_gap_into_a_ring_builds_only_the_events_it_keeps(
-            self, max_history, monkeypatch):
-        """A ``max_history`` ring keeps the reference's last events and
-        counts the rest as dropped, and fast-forward builds no more of
-        the skipped slices' events than the ring keeps."""
-        built = []
-        event_class = detector_module.DetectionEvent
-
-        def counting_event(**fields):
-            built.append(fields["slice_index"])
-            return event_class(**fields)
-
-        monkeypatch.setattr(detector_module, "DetectionEvent",
-                            counting_event)
-        fast = RansomwareDetector(max_history=max_history)
-        naive = ReferenceDetector()
-        for request in self.make_gappy_requests():
-            fast.observe(request)
-            naive.observe(request)
-        fast.tick(500.0)
-        naive.tick(500.0)
-        assert fast.fast_forwarded_slices >= 300
-        assert list(fast.events) == naive.events[-max_history:]
-        assert fast.dropped_events == len(naive.events) - len(fast.events)
-        closed_one_by_one = len(naive.events) - fast.fast_forwarded_slices
-        # The idle gap and the tail up to the final tick fast-forward.
-        assert len(built) <= closed_one_by_one + 2 * max_history
 
     def test_gap_final_state_matches_reference(self):
         fast = RansomwareDetector(keep_history=False)

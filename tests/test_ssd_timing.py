@@ -69,6 +69,14 @@ class TestProfileTrace:
         p = profile_trace(Trace(requests))
         assert p.overwrite_rate == 0.0
 
+    def test_read_spanning_a_stale_and_a_live_entry(self):
+        # By t=11 the window has expired LBA 10's entry (slice 0) but not
+        # LBA 12's (slice 8): of the three blocks read, only LBA 12 hits.
+        requests = [read(0.0, 10), read(8.0, 12), read(11.0, 10, length=3)]
+        p = profile_trace(Trace(requests))
+        assert p.reads == 5
+        assert p.read_hit_rate == pytest.approx(1 / 5)
+
     def test_read_hit_rate(self):
         requests = [read(0.0, 1), read(0.1, 1), read(0.2, 2)]
         p = profile_trace(Trace(requests))
