@@ -9,10 +9,11 @@ no process names, no file names.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 _INF = float("inf")
+_set = object.__setattr__
 
 
 class IOMode(enum.Enum):
@@ -25,7 +26,7 @@ class IOMode(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IORequest:
     """One block I/O request header.
 
@@ -37,24 +38,54 @@ class IORequest:
         source: Optional label of the workload that produced the request.
             This is *metadata for evaluation only* — it lets experiments
             label slices as ransomware-active — and is never consulted by
-            the detector itself.
+            the detector itself, nor by ``==`` and ``hash``.
+
+    Traces hold headers by the million, so the class is slot-backed (no
+    per-instance ``__dict__``; docs/performance.md, "Slim headers").
+    ``dataclass(slots=True)`` needs Python 3.10, and slotted fields cannot
+    carry class-level defaults, so the defaults live in the hand-written
+    ``__init__``, which stores each field through ``object.__setattr__``
+    past the frozen ``__setattr__``.
     """
+
+    __slots__ = ("time", "lba", "mode", "length", "source")
 
     time: float
     lba: int
     mode: IOMode
-    length: int = 1
-    source: Optional[str] = field(default=None, compare=False)
+    length: int
+    source: Optional[str]
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.time < _INF:  # also false for NaN
+    def __init__(self, time: float, lba: int, mode: IOMode, length: int = 1,
+                 source: Optional[str] = None) -> None:
+        if not 0 <= time < _INF:  # also false for NaN
             raise ValueError(
-                f"request time must be finite and non-negative, got {self.time}"
+                f"request time must be finite and non-negative, got {time}"
             )
-        if self.lba < 0:
-            raise ValueError(f"LBA must be non-negative, got {self.lba}")
-        if self.length < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
+        if lba < 0:
+            raise ValueError(f"LBA must be non-negative, got {lba}")
+        if length < 1:
+            raise ValueError(f"length must be >= 1, got {length}")
+        _set(self, "time", time)
+        _set(self, "lba", lba)
+        _set(self, "mode", mode)
+        _set(self, "length", length)
+        _set(self, "source", source)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.time, self.lba, self.mode, self.length) == (
+            other.time, other.lba, other.mode, other.length)
+
+    def __hash__(self) -> int:
+        return hash((self.time, self.lba, self.mode, self.length))
+
+    def __reduce__(self) -> tuple:
+        # The frozen __setattr__ would block pickle's default slot-state
+        # restore, so rebuild through __init__ (pickle and copy.deepcopy).
+        return (self.__class__,
+                (self.time, self.lba, self.mode, self.length, self.source))
 
     @property
     def is_read(self) -> bool:
@@ -85,13 +116,8 @@ class IORequest:
             yield self
             return
         for offset in range(self.length):
-            yield IORequest(
-                time=self.time,
-                lba=self.lba + offset,
-                mode=self.mode,
-                length=1,
-                source=self.source,
-            )
+            yield IORequest(self.time, self.lba + offset, self.mode, 1,
+                            self.source)
 
     def __repr__(self) -> str:
         tag = f", source={self.source!r}" if self.source else ""
@@ -103,9 +129,9 @@ class IORequest:
 
 def read(time: float, lba: int, length: int = 1, source: Optional[str] = None) -> IORequest:
     """Convenience constructor for a read request."""
-    return IORequest(time=time, lba=lba, mode=IOMode.READ, length=length, source=source)
+    return IORequest(time, lba, IOMode.READ, length, source)
 
 
 def write(time: float, lba: int, length: int = 1, source: Optional[str] = None) -> IORequest:
     """Convenience constructor for a write request."""
-    return IORequest(time=time, lba=lba, mode=IOMode.WRITE, length=length, source=source)
+    return IORequest(time, lba, IOMode.WRITE, length, source)

@@ -49,7 +49,7 @@ MAX_RUN_BLOCKS = 64
 FREE_LIST_CAP = 4096
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, init=False)
 class TableEntry:
     """One run of consecutively read LBAs and its overwrite count.
 
@@ -61,12 +61,23 @@ class TableEntry:
         rl: Read run length — the run covers ``[lba, lba + rl)``.
         wl: Overwrite count accumulated by the run (repeat overwrites of
             one block keep counting; only OWST de-duplicates).
+
+    Slot-backed like :class:`~repro.blockdev.request.IORequest`: slotted
+    fields cannot carry class-level defaults, so they sit in ``__init__``.
     """
+
+    __slots__ = ("slice_index", "lba", "rl", "wl")
 
     slice_index: int
     lba: int
-    rl: int = 1
-    wl: int = 0
+    rl: int
+    wl: int
+
+    def __init__(self, slice_index: int, lba: int, rl: int = 1, wl: int = 0) -> None:
+        self.slice_index = slice_index
+        self.lba = lba
+        self.rl = rl
+        self.wl = wl
 
     @property
     def end_lba(self) -> int:
@@ -134,7 +145,7 @@ class CountingTable:
             entry.rl = rl
             entry.wl = wl
         else:
-            entry = TableEntry(slice_index=slice_index, lba=lba, rl=rl, wl=wl)
+            entry = TableEntry(slice_index, lba, rl, wl)
         bucket = self._buckets.get(slice_index)
         if bucket is None:
             self._buckets[slice_index] = {entry: None}

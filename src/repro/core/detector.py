@@ -9,8 +9,12 @@ alarm once the score reaches the threshold.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from itertools import islice
+from operator import eq, index as as_index
+from typing import Callable, Iterator, List, Optional, Union
 
 from repro.blockdev.request import IOMode, IORequest
 from repro.core.config import DetectorConfig
@@ -36,6 +40,107 @@ class DetectionEvent:
     alarm: bool
 
 
+@dataclass(frozen=True)
+class _Gap:
+    """A fast-forwarded idle gap: ``count`` slices sharing one outcome."""
+
+    before: int  # individually stored events that precede the gap
+    first_slice: int
+    count: int
+    slice_duration: float
+    features: FeatureVector
+    verdict: int
+    score: int
+    alarm: bool
+
+    def event(self, offset: int) -> DetectionEvent:
+        """The gap's ``offset``-th event, as closing its slice would build it."""
+        index = self.first_slice + offset
+        return DetectionEvent(
+            time=(index + 1) * self.slice_duration,
+            slice_index=index,
+            features=self.features,
+            verdict=self.verdict,
+            score=self.score,
+            alarm=self.alarm,
+        )
+
+
+class EventHistory(Sequence):
+    """Every closed slice's :class:`DetectionEvent`, in slice order.
+
+    Reads like the list of all events: ``len``, int and negative indexing,
+    slicing (to a list), iteration, and ``==`` against a list or another
+    history.  Slices closed one by one are stored as their events; a
+    fast-forwarded idle gap is stored as one segment — first slice, count
+    and the features, verdict, score and alarm every slice of the gap
+    shares — and its events are built when read.  So a gap of any length
+    costs O(1) to record, and the events read back are equal to the ones
+    slice-by-slice closing would have stored.
+    """
+
+    def __init__(self) -> None:
+        self._events: List[DetectionEvent] = []
+        self._gaps: List[_Gap] = []
+        self._starts: List[int] = []  # each gap's first position, for bisect
+        self._gap_events = 0
+
+    def append(self, event: DetectionEvent) -> None:
+        """Record one individually closed slice."""
+        self._events.append(event)
+
+    def append_gap(self, first_slice: int, count: int, slice_duration: float,
+                   features: FeatureVector, verdict: int, score: int,
+                   alarm: bool) -> None:
+        """Record ``count`` skipped slices from ``first_slice`` on, which
+        all share ``features``, ``verdict``, ``score`` and ``alarm``."""
+        self._starts.append(len(self))
+        self._gaps.append(_Gap(len(self._events), first_slice, count,
+                               slice_duration, features, verdict, score, alarm))
+        self._gap_events += count
+
+    def __len__(self) -> int:
+        return len(self._events) + self._gap_events
+
+    def __getitem__(self, index: Union[int, slice]
+                    ) -> Union[DetectionEvent, List[DetectionEvent]]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        position = as_index(index)
+        size = len(self)
+        if position < 0:
+            position += size
+        if not 0 <= position < size:
+            raise IndexError("event index out of range")
+        k = bisect_right(self._starts, position) - 1
+        if k < 0:
+            return self._events[position]
+        gap = self._gaps[k]
+        offset = position - self._starts[k]
+        if offset < gap.count:
+            return gap.event(offset)
+        return self._events[gap.before + offset - gap.count]
+
+    def __iter__(self) -> Iterator[DetectionEvent]:
+        events = iter(self._events)
+        stored = 0
+        for gap in self._gaps:
+            yield from islice(events, gap.before - stored)
+            stored = gap.before
+            for offset in range(gap.count):
+                yield gap.event(offset)
+        yield from events
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (EventHistory, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return (f"EventHistory({len(self)} events, "
+                f"{self._gap_events} in {len(self._gaps)} idle gaps)")
+
+
 class RansomwareDetector:
     """Header-only behavioural ransomware detector (Algorithm 1).
 
@@ -46,10 +151,12 @@ class RansomwareDetector:
             :class:`DetectionEvent`, when the score first reaches the
             threshold.
         keep_history: Record every :class:`DetectionEvent` in
-            :attr:`events` (on by default).  The list keeps one event per
-            slice, fast-forwarded idle slices included, so a long gap
-            costs time and memory linear in its length; disable history
-            for long streams.
+            :attr:`events` (on by default), an :class:`EventHistory` that
+            reads as one event per slice, fast-forwarded idle slices
+            included.  It stores each individually closed slice's event
+            and each fast-forwarded gap as one segment, so history grows
+            with the slices actually closed, and a long idle gap costs
+            O(1).  Disable it when nothing reads the events.
         probe: Where every closed slice and fast-forwarded gap is
             published (the device passes its own); the shared null probe
             by default.  Publishing only records, never steers: the
@@ -76,7 +183,7 @@ class RansomwareDetector:
         self.table = CountingTable()
         self.window = SlidingWindow(self.config.window_slices)
         self.scores = ScoreTracker(self.config.window_slices)
-        self.events: List[DetectionEvent] = []
+        self.events = EventHistory()
         self.alarm_event: Optional[DetectionEvent] = None
         self._current = SliceStats(index=0)
         self._next_boundary = self._slice_start(1)
@@ -162,9 +269,9 @@ class RansomwareDetector:
         verdict — so features, verdict, score, and alarm state cannot
         change.  The window contents and slice cursor are rewritten to
         exactly what slice-by-slice closing would have produced; when
-        ``keep_history`` is on, the skipped slices' (identical) events are
-        still recorded so the event stream stays bit-for-bit equal to the
-        naive path.
+        ``keep_history`` is on, the skipped slices are recorded as one
+        :class:`EventHistory` segment whose events read back bit-for-bit
+        equal to the naive path's.
         """
         skipped = target_slice - self._current.index
         if skipped <= 1:
@@ -189,18 +296,9 @@ class RansomwareDetector:
         score = self.scores.push_constant(verdict, skipped)
         alarm = score >= self.config.threshold
         if self.keep_history:
-            duration = self.config.slice_duration
-            self.events.extend(
-                DetectionEvent(
-                    time=(index + 1) * duration,
-                    slice_index=index,
-                    features=features,
-                    verdict=verdict,
-                    score=score,
-                    alarm=alarm,
-                )
-                for index in range(current.index, target_slice)
-            )
+            self.events.append_gap(current.index, skipped,
+                                   self.config.slice_duration, features,
+                                   verdict, score, alarm)
         self.window.fill_idle(last_index=target_slice - 1)
         self.fast_forwarded_slices += skipped
         self.probe.slices_skipped(self, features, verdict, score, alarm,

@@ -110,7 +110,7 @@ class Workload(abc.ABC):
         self, time: float, lba: int, mode: IOMode, length: int = 1
     ) -> IORequest:
         """Build a request stamped with this workload's name."""
-        return IORequest(time=time, lba=lba, mode=mode, length=length, source=self.name)
+        return IORequest(time, lba, mode, length, self.name)
 
     def _clip_length(self, lba: int, length: int) -> int:
         """Clamp a run so it stays inside the region."""

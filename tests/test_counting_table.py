@@ -1,5 +1,9 @@
 """Counting table: run-length tracking, overwrite detection, expiry."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.counting_table import MAX_RUN_BLOCKS, CountingTable, TableEntry
@@ -208,3 +212,49 @@ class TestMemory:
             table.record_read(lba, 0)
         # One entry (merged run of 3) + three hash slots.
         assert table.memory_bytes() == 3 * 42 + 1 * 12
+
+
+class TestSlimEntry:
+    """Entries are slot-backed and behave as the plain dataclass did."""
+
+    def test_no_instance_dict(self, table):
+        assert not hasattr(TableEntry(0, 10), "__dict__")
+        assert not hasattr(table.record_read(10, 0), "__dict__")
+
+    def test_defaults_and_keywords(self):
+        entry = TableEntry(slice_index=2, lba=10)
+        assert (entry.slice_index, entry.lba, entry.rl, entry.wl) == (2, 10, 1, 0)
+        assert TableEntry(2, 10, 5, 3).end_lba == 15
+
+    def test_fields_stay_mutable(self):
+        entry = TableEntry(0, 10)
+        entry.rl += 2
+        entry.wl = 4
+        assert (entry.rl, entry.wl) == (3, 4)
+        with pytest.raises(AttributeError):
+            entry.extra = 1
+
+    def test_dataclasses_replace(self):
+        entry = dataclasses.replace(TableEntry(1, 10, rl=4, wl=2), lba=20)
+        assert (entry.slice_index, entry.lba, entry.rl, entry.wl) == (1, 20, 4, 2)
+
+    def test_equality_and_hash_are_identity(self):
+        # Entries key the expiry buckets, so two equal-looking runs are
+        # still two entries.
+        a, b = TableEntry(0, 10), TableEntry(0, 10)
+        assert a != b and a == a
+        assert len({a: None, b: None}) == 2
+
+    @pytest.mark.parametrize("clone", [
+        lambda e: pickle.loads(pickle.dumps(e)),
+        copy.deepcopy,
+    ])
+    def test_copies_round_trip(self, clone):
+        entry = TableEntry(7, 1 << 33, rl=12, wl=3)
+        copied = clone(entry)
+        assert (copied.slice_index, copied.lba, copied.rl, copied.wl) == (
+            7, 1 << 33, 12, 3)
+
+    def test_repr_unchanged(self):
+        assert repr(TableEntry(3, 10, wl=2)) == (
+            "TableEntry(slice_index=3, lba=10, rl=1, wl=2)")

@@ -1,6 +1,9 @@
 """The detector's state must stay bounded over long, heavy streams —
 firmware has fixed DRAM (Table III), so unbounded growth is a defect."""
 
+import time
+import tracemalloc
+
 import pytest
 
 from repro.blockdev.request import read, write
@@ -45,6 +48,26 @@ class TestBoundedness:
                                       keep_history=False)
         detector.tick(600.0)
         assert detector.events == []
+
+    def test_idle_gap_history_costs_o1(self):
+        """One header a million slices after the first: the skipped gap is
+        recorded as one segment, not one event per slice."""
+        detector = RansomwareDetector()
+        detector.observe(read(0.5, 1))
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            detector.observe(read(1e6, 2))
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 64_000, f"{peak} B traced for a 1M-slice gap"
+        assert len(detector.events) == 1_000_000
+        assert detector.fast_forwarded_slices > 999_900
+        last = detector.events[-1]
+        assert (last.slice_index, last.time) == (999_999, 1_000_000.0)
 
     def test_score_window_never_exceeds_n(self):
         detector = RansomwareDetector(tree=constant_tree(1),

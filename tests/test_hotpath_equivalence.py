@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.blockdev.request import read, write
 from repro.core.config import DetectorConfig
 from repro.core.counting_table import CountingTable
@@ -106,6 +108,34 @@ class TestIdleGapEquivalence:
         naive.tick(500.0)
         assert fast.fast_forwarded_slices > 0, "gap must take the fast path"
         assert_event_streams_equal(fast, naive)
+
+    def test_gapped_history_reads_like_the_event_list(self):
+        """Three idle gaps, two of them back to back: indexing, negative
+        indexing, slicing, iteration and == all match the oracle's list."""
+        fast, naive = RansomwareDetector(), ReferenceDetector()
+        for request in self.make_gappy_requests():
+            fast.observe(request)
+            naive.observe(request)
+        for now in (1000.0, 1200.0):
+            fast.tick(now)
+            naive.tick(now)
+        assert len(fast.events._gaps) == 3
+        expected = naive.events
+        assert list(fast.events) == expected
+        assert fast.events == expected and expected == fast.events
+        assert fast.events != expected[:-1]
+        assert fast.events != expected[:-1] + [expected[0]]
+        size = len(expected)
+        assert len(fast.events) == size
+        for position in range(-size, size):
+            assert fast.events[position] == expected[position]
+        for window in (1, 10, 50, size + 5):
+            assert fast.events[-window:] == expected[-window:]
+        assert fast.events[3:900:7] == expected[3:900:7]
+        assert fast.events[::-5] == expected[::-5]
+        for position in (size, -size - 1):
+            with pytest.raises(IndexError):
+                fast.events[position]
 
     def test_gap_skips_per_slice_iteration_without_history(self):
         fast = RansomwareDetector(keep_history=False)

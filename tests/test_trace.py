@@ -38,6 +38,24 @@ class TestOrdering:
         with pytest.raises(TraceError):
             trace.append(read(0.5, 1))
 
+    def test_constructor_rejects_time_regression(self):
+        with pytest.raises(TraceError, match=r"out-of-order append: 0.5 < 1.0"):
+            Trace([read(0.0, 0), read(1.0, 1), read(0.5, 2)])
+
+    def test_extend_keeps_the_prefix_before_a_regression(self):
+        """A batch fails as a run of appends would: the requests before
+        the first regression are kept."""
+        trace = Trace([read(1.0, 0)])
+        with pytest.raises(TraceError, match=r"out-of-order append: 2.0 < 3.0"):
+            trace.extend([read(2.0, 1), read(3.0, 2), read(2.0, 3), read(4.0, 4)])
+        assert [r.lba for r in trace] == [0, 1, 2]
+        with pytest.raises(TraceError, match=r"out-of-order append: 0.5 < 3.0"):
+            trace.extend(iter([read(0.5, 5)]))
+        assert len(trace) == 3
+        trace.extend([])
+        trace.extend(r for r in [read(3.0, 6), read(3.0, 7)])
+        assert [r.lba for r in trace] == [0, 1, 2, 6, 7]
+
     def test_indexing(self):
         trace = make_trace()
         assert trace[2].lba == 10
