@@ -9,6 +9,7 @@ alarm once the score reaches the threshold.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -139,6 +140,27 @@ class EventHistory(Sequence):
     def __repr__(self) -> str:
         return (f"EventHistory({len(self)} events, "
                 f"{self._gap_events} in {len(self._gaps)} idle gaps)")
+
+
+def weak_hook(method: Callable[[DetectionEvent], None]
+              ) -> Callable[[DetectionEvent], None]:
+    """``method``, a bound method, as an ``on_alarm`` hook held weakly.
+
+    A device or a namespace owns its detector, so handing the detector
+    the owner's bound method would make the pair a reference cycle that
+    only the cyclic collector frees.  This hook keeps only a weak
+    reference: the owner dies with its last reference, and a detector
+    that outlives it alarms into a no-op.  The dereference costs once
+    per alarm, never per request.
+    """
+    ref = weakref.WeakMethod(method)
+
+    def hook(event: DetectionEvent) -> None:
+        bound = ref()
+        if bound is not None:
+            bound(event)
+
+    return hook
 
 
 class RansomwareDetector:

@@ -88,7 +88,6 @@ class EntropyTracker:
 
     def __init__(self) -> None:
         self._current = SliceEntropy()
-        self._last_closed: Optional[SliceEntropy] = None
 
     def observe_write(self, payload: Optional[bytes]) -> None:
         """Fold one write's payload in (None payloads are skipped)."""
@@ -103,14 +102,8 @@ class EntropyTracker:
     def close_slice(self) -> SliceEntropy:
         """End the current slice and return its aggregate."""
         closed = self._current
-        self._last_closed = closed
         self._current = SliceEntropy()
         return closed
-
-    @property
-    def last_closed(self) -> Optional[SliceEntropy]:
-        """The most recently closed slice's aggregate."""
-        return self._last_closed
 
 
 class HybridDetector:

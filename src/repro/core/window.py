@@ -46,11 +46,6 @@ class SliceStats:
         """Total I/O of the slice (the Fig. 3 ``IO = RIO + WIO``)."""
         return self.rio + self.wio
 
-    @property
-    def is_idle(self) -> bool:
-        """True when the slice saw no I/O at all."""
-        return self.rio == 0 and self.wio == 0 and self.owio == 0
-
 
 class SlidingWindow:
     """Ring buffer of the last N closed slices, with running aggregates."""

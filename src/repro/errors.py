@@ -121,10 +121,6 @@ class FsFullError(FilesystemError):
     """No free blocks or inodes remain."""
 
 
-class FsConsistencyError(FilesystemError):
-    """An unrecoverable metadata inconsistency was found."""
-
-
 class FileNotFoundFsError(FilesystemError):
     """The named file does not exist in the filesystem."""
 

@@ -54,6 +54,8 @@ class FleetRunSummary:
     """
 
     devices: int
+    #: Worker processes: the requested count capped at one per device
+    #: (1 for an in-process run).
     shards: int
     wall_seconds: float
     out_path: Optional[str] = None
@@ -155,7 +157,8 @@ def run_fleet(
             records).
         shards: Worker process count; ``1`` runs in-process with no pool,
             which is the reference the determinism oracle compares
-            against.
+            against.  It is capped at ``plan.devices``, and the summary
+            reports the capped count.
         out_path: When set, the ``ssd-insider.fleetrec/v1`` fleet file is
             written here (plan header + records in index order).
         progress: Optional callback fired per completed device.
@@ -168,6 +171,9 @@ def run_fleet(
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
+    # A worker with no device to run would still pay its interpreter,
+    # numpy and repro imports; never start more workers than devices.
+    shards = min(shards, plan.devices)
     started = perf_counter()
     source = (
         _iter_records_sequential(plan, telemetry) if shards == 1

@@ -373,14 +373,14 @@ class PageMappedFTL:
             self._relocate_and_erase(victim)
             erased += 1
         if erased and self.wear_leveler is not None:
-            self.wear_leveler.maybe_level()
+            self.wear_leveler.maybe_level(self)
         return erased
 
     def attach_wear_leveling(self, config=None):
         """Enable static wear leveling; returns the leveler for inspection."""
         from repro.ftl.wearlevel import StaticWearLeveler
 
-        self.wear_leveler = StaticWearLeveler(self, config)
+        self.wear_leveler = StaticWearLeveler(config)
         return self.wear_leveler
 
     def _can_complete(self, victim: int) -> bool:

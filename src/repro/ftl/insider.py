@@ -228,7 +228,3 @@ class InsiderFTL(PageMappedFTL):
     def pinned_pages(self) -> int:
         """Old-version pages currently protected from GC."""
         return self.queue.pinned_count
-
-    def recovery_window(self) -> float:
-        """The retention window in seconds."""
-        return self.queue.retention

@@ -21,8 +21,7 @@ so their arithmetic is bit-identical by construction.
 from __future__ import annotations
 
 import enum
-
-from repro.nand.array import NandArray
+from typing import List
 
 
 class VictimPolicy(enum.Enum):
@@ -65,12 +64,13 @@ def score_block(
     return ((1.0 - utilization) * age) / (2.0 * utilization + 1e-9)
 
 
-def block_newest(nand: NandArray, global_block: int) -> float:
+def block_newest(written_at: List[float], start: int,
+                 write_pointer: int) -> float:
     """Timestamp of the newest programmed page (0.0 for an empty block).
 
-    The programmed pages are the ones below the write pointer; a burned
-    page's cleared timestamp (0.0) never wins.
+    ``written_at`` is the NAND array's per-PPA timestamp list and
+    ``start`` the block's first PPA.  The programmed pages are the ones
+    below the write pointer; a burned page's cleared timestamp (0.0)
+    never wins.
     """
-    start = global_block * nand.geometry.pages_per_block
-    stop = start + nand.block(global_block).write_pointer
-    return max(nand.written_at[start:stop], default=0.0)
+    return max(written_at[start:start + write_pointer], default=0.0)

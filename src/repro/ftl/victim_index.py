@@ -63,14 +63,21 @@ class VictimIndex:
             block counters (write pointer, valid count, erase count) live
             and keeps only what cannot be read in O(1): per-block pin
             counts and the frozen newest-page timestamp.
+
+    The index keeps the array's ``Block`` objects and its per-PPA
+    ``states`` and ``written_at`` lists, never the array itself: the
+    array holds the index's :meth:`note` as its ``block_listener``, and a
+    reference back would tie the whole device into a reference cycle
+    (see DESIGN.md, "Ownership").  The array only ever assigns into those
+    lists, never rebinds them, so the index reads them live.
     """
 
     def __init__(self, nand: NandArray) -> None:
-        self.nand = nand
-        geometry = nand.geometry
-        self._ppb = geometry.pages_per_block
+        self._ppb = nand.geometry.pages_per_block
         num_blocks = nand.num_blocks
         self._blocks = [nand.block(b) for b in range(num_blocks)]
+        self._states = nand.states
+        self._written_at = nand.written_at
         #: Recovery-queue pins per block (any pinned PPA counts one).
         self._pinned: List[int] = [0] * num_blocks
         #: Bucket (= reclaimable count) each block is filed under; -1 when
@@ -134,8 +141,9 @@ class VictimIndex:
             # First filing this erase generation: freeze the newest
             # timestamp.  A full block receives no further programs, so
             # the cached value stays exact until the next erase.
-            self._newest[global_block] = block_newest(self.nand,
-                                                      global_block)
+            self._newest[global_block] = block_newest(
+                self._written_at, global_block * self._ppb,
+                block.write_pointer)
             self._newest_gen[global_block] = block.erase_count
         self._buckets[reclaimable].add(global_block)
         self._bucket_of[global_block] = reclaimable
@@ -293,8 +301,14 @@ class VictimIndex:
         """
         self._flush()
         recount = [0] * len(self._blocks)
+        states = self._states
         for ppa in pinned_ppas:
-            state = self.nand.page_state(ppa)
+            if not 0 <= ppa < len(states):
+                raise FtlError(
+                    f"victim index invariant broken: pinned PPA {ppa} is "
+                    f"outside the array"
+                )
+            state = states[ppa]
             if state is not PageState.INVALID:
                 raise FtlError(
                     f"victim index invariant broken: pinned PPA {ppa} is "
@@ -336,7 +350,9 @@ class VictimIndex:
                         f"victim index corrupt: block {global_block} "
                         f"missing from bucket {reclaimable}"
                     )
-                newest = block_newest(self.nand, global_block)
+                newest = block_newest(self._written_at,
+                                      global_block * self._ppb,
+                                      block.write_pointer)
                 if (self._newest_gen[global_block] == block.erase_count
                         and self._newest[global_block] != newest):
                     raise FtlError(

@@ -44,47 +44,50 @@ class StaticWearLeveler:
     """Migrates cold low-wear blocks so hot traffic can wear them.
 
     Args:
-        ftl: The page-mapped FTL to operate on (conventional or Insider).
         config: Trigger thresholds.
+
+    The leveler is handed the page-mapped FTL (conventional or Insider)
+    on each call rather than holding it: the FTL owns its leveler, and a
+    reference back would make the pair a reference cycle.
     """
 
-    def __init__(self, ftl, config: Optional[WearLevelConfig] = None) -> None:
-        self.ftl = ftl
+    def __init__(self, config: Optional[WearLevelConfig] = None) -> None:
         self.config = config or WearLevelConfig()
         self.migrations = 0
         self._erases_at_last_check = 0
 
-    def maybe_level(self) -> bool:
+    def maybe_level(self, ftl) -> bool:
         """Check the trigger and migrate at most one block; True if moved."""
-        erases = self.ftl.stats.erases
+        erases = ftl.stats.erases
         if erases - self._erases_at_last_check < self.config.check_every_erases:
             return False
         self._erases_at_last_check = erases
-        wear = self.ftl.nand.wear_stats()
+        wear = ftl.nand.wear_stats()
         if wear.spread < self.config.spread_threshold:
             return False
-        return self.level_once()
+        return self.level_once(ftl)
 
-    def level_once(self) -> bool:
+    def level_once(self, ftl) -> bool:
         """Migrate the coldest low-wear block now; True if one moved."""
-        source = self._select_cold_block()
+        source = self._select_cold_block(ftl)
         if source is None:
             return False
-        if not self.ftl._can_complete(source):
+        if not ftl._can_complete(source):
             return False
-        self.ftl._relocate_and_erase(source)
+        ftl._relocate_and_erase(source)
         self.migrations += 1
         return True
 
-    def _select_cold_block(self) -> Optional[int]:
+    @staticmethod
+    def _select_cold_block(ftl) -> Optional[int]:
         """The least-worn, fully-valid, closed block (the cold-data home).
 
         Fully-valid is the point: blocks with invalid pages will be cleaned
         by normal GC eventually; only blocks GC would never touch need the
         push.
         """
-        nand = self.ftl.nand
-        allocator = self.ftl.allocator
+        nand = ftl.nand
+        allocator = ftl.allocator
         best: Optional[int] = None
         best_erases = None
         for global_block in range(nand.num_blocks):

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.blockdev.request import IOMode, IORequest
 from repro.clock import SimClock
-from repro.core.detector import DetectionEvent, RansomwareDetector
+from repro.core.detector import DetectionEvent, RansomwareDetector, weak_hook
 from repro.core.id3 import DecisionTree
 from repro.errors import (
     AddressError,
@@ -109,7 +109,7 @@ class SimulatedSSD:
             self.detector = RansomwareDetector(
                 tree=tree,
                 config=self.config.detector,
-                on_alarm=self._alarm_hook,
+                on_alarm=weak_hook(self._alarm_hook),
                 probe=self.probe,
             )
         self._host_alarm_callback = on_alarm

@@ -19,17 +19,17 @@ management one.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.blockdev.request import IOMode, IORequest
 from repro.core.config import DetectorConfig
-from repro.core.detector import DetectionEvent, RansomwareDetector
+from repro.core.detector import DetectionEvent, RansomwareDetector, weak_hook
 from repro.core.id3 import DecisionTree
 from repro.errors import AddressError, ConfigError, DeviceReadOnlyError
 from repro.ftl.insider import RollbackReport
 from repro.ssd.device import SimulatedSSD
-from repro.units import BLOCK_SIZE
 
 
 @dataclass
@@ -42,7 +42,13 @@ class NamespaceStats:
 
 
 class Namespace:
-    """One tenant's logical view of a shared device."""
+    """One tenant's logical view of a shared device.
+
+    A namespace holds its device directly and its manager only weakly,
+    for the alarm callback: the manager owns its namespaces, so a strong
+    reference back would make a reference cycle (see DESIGN.md,
+    "Ownership").
+    """
 
     def __init__(
         self,
@@ -53,14 +59,15 @@ class Namespace:
         tree: Optional[DecisionTree],
         config: DetectorConfig,
     ) -> None:
-        self.manager = manager
+        self.device = manager.device
+        self._manager = weakref.ref(manager)
         self.index = index
         self.start_lba = start_lba
         self.num_lbas = num_lbas
         self.read_only = False
         self.stats = NamespaceStats()
         self.detector = RansomwareDetector(
-            tree=tree, config=config, on_alarm=self._alarm_hook
+            tree=tree, config=config, on_alarm=weak_hook(self._alarm_hook)
         )
         self.rollback_reports: List[RollbackReport] = []
 
@@ -84,7 +91,7 @@ class Namespace:
         device serves the physical one through its host-request seam, so
         an armed observability bundle traces and counts it like any other.
         """
-        device = self.manager.device
+        device = self.device
         physical = self._check(lba)
         timestamp = device._stamp(now)
         self.detector.observe(
@@ -97,7 +104,7 @@ class Namespace:
     def write(self, lba: int, payload: Optional[bytes] = None,
               now: Optional[float] = None) -> None:
         """Write one block (dropped while this namespace is locked)."""
-        device = self.manager.device
+        device = self.device
         physical = self._check(lba)
         timestamp = device._stamp(now)
         self.detector.observe(
@@ -112,12 +119,12 @@ class Namespace:
 
     def tick(self, now: float) -> None:
         """Advance this namespace's detector through idle time."""
-        self.manager.device.clock.advance_to(now)
+        self.device.clock.advance_to(now)
         self.detector.tick(now)
 
     def recover(self) -> RollbackReport:
         """Roll back *this namespace only* and unlock it."""
-        device = self.manager.device
+        device = self.device
         report = device.ftl.rollback(
             device.clock.now,
             lba_range=(self.start_lba, self.start_lba + self.num_lbas),
@@ -134,8 +141,9 @@ class Namespace:
 
     def _alarm_hook(self, event: DetectionEvent) -> None:
         self.read_only = True
-        if self.manager.on_alarm is not None:
-            self.manager.on_alarm(self, event)
+        manager = self._manager()
+        if manager is not None and manager.on_alarm is not None:
+            manager.on_alarm(self, event)
 
 
 class NamespaceManager:
@@ -188,7 +196,3 @@ class NamespaceManager:
     def alarmed(self) -> List[Namespace]:
         """Namespaces with pending alarms."""
         return [ns for ns in self.namespaces if ns.alarm_raised]
-
-    def capacity_bytes_per_namespace(self) -> int:
-        """Each tenant's logical capacity."""
-        return self.namespaces[0].num_lbas * BLOCK_SIZE

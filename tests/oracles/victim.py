@@ -41,7 +41,8 @@ def select_victim(
             continue
         score = score_block(
             policy, reclaimable, pages, block.erase_count,
-            block_newest(nand, global_block), now,
+            block_newest(nand.written_at, global_block * pages,
+                         block.write_pointer), now,
         )
         if score > best_score:
             best_score = score

@@ -1,6 +1,7 @@
 """Fleet execution: determinism oracle, re-derivation, error containment."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -188,6 +189,22 @@ class TestProgressCallback:
     def test_callback_absence_changes_nothing(self, sequential_result):
         calls, result = self._collect(small_plan(), 1)
         assert result.records == sequential_result.records
+
+    def test_never_more_workers_than_devices(self, tmp_path):
+        """Four shards for two devices start two workers, and the fleet
+        file is the in-process run's byte for byte."""
+        plan = small_plan(devices=2)
+        children = []
+        sharded = run_fleet(
+            plan, shards=4, out_path=tmp_path / "sharded.fleetrec",
+            progress=lambda done, total, record: children.append(
+                len(multiprocessing.active_children())))
+        run_fleet(plan, shards=1, out_path=tmp_path / "seq.fleetrec")
+        assert len(children) == 2
+        assert max(children) <= 2
+        assert sharded.summary.shards == 2
+        assert (tmp_path / "sharded.fleetrec").read_bytes() == \
+            (tmp_path / "seq.fleetrec").read_bytes()
 
 
 class TestFleetReport:

@@ -28,7 +28,7 @@ def manager(pretrained_tree) -> NamespaceManager:
 def populate(namespace, blocks, tag):
     for lba in range(blocks):
         namespace.write(lba, b"%s-%d" % (tag, lba),
-                        now=namespace.manager.device.clock.now + 0.0005)
+                        now=namespace.device.clock.now + 0.0005)
 
 
 def attack(namespace, blocks, start):

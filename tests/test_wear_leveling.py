@@ -68,14 +68,14 @@ class TestLeveling:
 
     def test_no_migration_below_threshold(self):
         ftl, _, _ = hot_cold_ftl(wear_leveling=False)
-        leveler = StaticWearLeveler(ftl, WearLevelConfig(spread_threshold=99))
-        assert leveler.maybe_level() is False
+        leveler = StaticWearLeveler(WearLevelConfig(spread_threshold=99))
+        assert leveler.maybe_level(ftl) is False
         assert leveler.migrations == 0
 
     def test_level_once_picks_fully_valid_cold_block(self):
         ftl, _, cold = hot_cold_ftl(wear_leveling=False)
-        leveler = StaticWearLeveler(ftl)
-        assert leveler.level_once() is True
+        leveler = StaticWearLeveler()
+        assert leveler.level_once(ftl) is True
         # A cold block was erased and returned to the pool; data intact.
         for lba in range(cold):
             assert ftl.read(lba).payload == b"cold"
@@ -91,8 +91,8 @@ class TestLevelingWithInsider:
         # Overwrite a few within the window so old versions are pinned.
         for lba in range(4):
             ftl.write(lba, 1.0, b"new%d" % lba)
-        leveler = StaticWearLeveler(ftl)
-        moved = leveler.level_once()
+        leveler = StaticWearLeveler()
+        moved = leveler.level_once(ftl)
         if moved:
             # Rollback must still restore the pinned versions.
             ftl.rollback(now=2.0)
