@@ -1,15 +1,8 @@
 """Ablation — model choice: ID3 tree vs logistic regression vs stump."""
 
-from repro.experiments import ablation_classifier
 
-
-def test_classifier_ablation(benchmark, publish):
-    result = benchmark.pedantic(
-        lambda: ablation_classifier.run(seed=2, duration=60.0,
-                                        runs_per_scenario=2, repetitions=2),
-        rounds=1, iterations=1,
-    )
-    publish("ablation_classifier", result.render())
+def test_classifier_ablation(run_experiment):
+    result = run_experiment("ablation_classifier")
     tree = result.row("id3-tree")
     logistic = result.row("logistic")
     stump = result.row("stump")

@@ -1,15 +1,8 @@
 """Ablation — each feature's contribution at the operating point."""
 
-from repro.experiments import ablation_features
 
-
-def test_feature_ablation(benchmark, publish):
-    result = benchmark.pedantic(
-        lambda: ablation_features.run(seed=2, duration=60.0,
-                                      runs_per_scenario=2, repetitions=2),
-        rounds=1, iterations=1,
-    )
-    publish("ablation_features", result.render())
+def test_feature_ablation(run_experiment):
+    result = run_experiment("ablation_features")
     # NOTE: each configuration here is a *single* greedy ID3 fit (unlike
     # the bundled tree, which is validation-selected), so absolute numbers
     # carry fit-to-fit noise; the assertions are relative and structural.

@@ -1,14 +1,8 @@
 """Ablation — GC victim policies under the Insider FTL's pinned pages."""
 
-from repro.experiments import ablation_gc
 
-
-def test_gc_policy_ablation(benchmark, publish):
-    result = benchmark.pedantic(
-        lambda: ablation_gc.run(utilization=0.85, seed=2, duration=35.0),
-        rounds=1, iterations=1,
-    )
-    publish("ablation_gc", result.render())
+def test_gc_policy_ablation(run_experiment):
+    result = run_experiment("ablation_gc")
     # Six combinations: {conventional, insider} x 3 policies.
     assert len(result.rows) == 6
     for policy in ("greedy", "wear_aware"):

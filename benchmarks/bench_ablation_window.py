@@ -1,16 +1,8 @@
 """Ablation — window size N and alarm threshold."""
 
-from repro.experiments import ablation_window
 
-
-def test_window_threshold_ablation(benchmark, publish):
-    result = benchmark.pedantic(
-        lambda: ablation_window.run(windows=(5, 10), thresholds=(2, 3, 5),
-                                    seed=2, duration=60.0, repetitions=1,
-                                    runs_per_scenario=2),
-        rounds=1, iterations=1,
-    )
-    publish("ablation_window", result.render())
+def test_window_threshold_ablation(run_experiment):
+    result = run_experiment("ablation_window")
     # Single-fit trees per window size: assertions are structural, not
     # absolute (the bundled operating-point numbers live in bench_fig7).
     paper_point = result.row(10, 3)

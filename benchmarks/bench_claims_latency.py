@@ -1,15 +1,8 @@
 """§V headline claims — detection <10 s, recovery <1 s, 0 % data loss."""
 
-from repro.experiments import claims
 
-
-def test_headline_claims(benchmark, publish, pretrained_tree):
-    result = benchmark.pedantic(
-        lambda: claims.run(seed=7, repetitions=2, duration=60.0,
-                           tree=pretrained_tree),
-        rounds=1, iterations=1,
-    )
-    publish("claims_headline", result.render())
+def test_headline_claims(run_experiment):
+    result = run_experiment("claims_headline")
     assert result.missed_detections == 0
     latencies = result.detection_latencies
     assert sum(latencies) / len(latencies) < 10.0

@@ -1,16 +1,8 @@
 """Extension study — throttled-attacker evasion sweep."""
 
-from repro.experiments import evasion
 
-
-def test_evasion_sweep(benchmark, publish, pretrained_tree):
-    result = benchmark.pedantic(
-        lambda: evasion.run(rates=(5, 25, 100, 400, 1600), seed=2,
-                            duration=60.0, repetitions=2,
-                            tree=pretrained_tree),
-        rounds=1, iterations=1,
-    )
-    publish("evasion_sweep", result.render())
+def test_evasion_sweep(run_experiment):
+    result = run_experiment("evasion_sweep")
     by_rate = {row.blocks_per_second: row for row in result.rows}
     # Fast attacks are always caught, quickly.
     assert by_rate[1600].detection_rate == 1.0

@@ -1,13 +1,8 @@
 """Fig. 1 — ransomware overwriting behaviour (correlation + cumulative)."""
 
-from repro.experiments import fig1
 
-
-def test_fig1_overwriting_behaviour(benchmark, publish):
-    result = benchmark.pedantic(
-        lambda: fig1.run(seed=1, duration=45.0), rounds=1, iterations=1
-    )
-    publish("fig1_overwriting", result.render())
+def test_fig1_overwriting_behaviour(run_experiment):
+    result = run_experiment("fig1_overwriting")
     # Shape assertions: the figure's message must hold.
     assert all(c.pearson > 0.7 for c in result.correlations.values())
     totals = {k: (v[-1] if v else 0) for k, v in result.cumulative.items()}

@@ -1,13 +1,8 @@
 """Fig. 2 — the six features' correlation and cumulative panels."""
 
-from repro.experiments import fig2
 
-
-def test_fig2_feature_panels(benchmark, publish):
-    result = benchmark.pedantic(
-        lambda: fig2.run(seed=1, duration=45.0), rounds=1, iterations=1
-    )
-    publish("fig2_features", result.render())
+def test_fig2_feature_panels(run_experiment):
+    result = run_experiment("fig2_features")
     # Every feature correlates positively with activity for fast samples.
     for feature in ("owio", "owst", "pwio", "avgwio"):
         assert result.correlations[feature]["wannacry"] > 0.3, feature

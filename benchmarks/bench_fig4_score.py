@@ -1,14 +1,8 @@
 """Fig. 4 — sliding-window score behaviour around the attack onset."""
 
-from repro.experiments import fig4
 
-
-def test_fig4_score_timeline(benchmark, publish, pretrained_tree):
-    result = benchmark.pedantic(
-        lambda: fig4.run(seed=2, duration=40.0, tree=pretrained_tree),
-        rounds=1, iterations=1,
-    )
-    publish("fig4_score", result.render())
+def test_fig4_score_timeline(run_experiment):
+    result = run_experiment("fig4_score")
     assert result.alarm_slice is not None
     # Alarm within one window of the onset.
     assert result.alarm_slice - result.onset <= 10.0

@@ -2,23 +2,14 @@
 
 The paper's headline: at threshold 3 the detector has 0 % FRR in every
 scenario and at most ~5 % FAR (heavy overwriting only).  Paper runs each
-combination 20 times; this benchmark uses fewer repetitions by default to
-keep the suite's runtime reasonable (bump ``REPETITIONS`` to 20 for the
+combination 20 times; ``run_all.EXPERIMENTS`` uses five repetitions to
+keep the suite's runtime reasonable (raise them to 20 there for the
 full-fidelity sweep).
 """
 
-from repro.experiments import fig7
 
-REPETITIONS = 5
-
-
-def test_fig7_far_frr_sweep(benchmark, publish, pretrained_tree):
-    result = benchmark.pedantic(
-        lambda: fig7.run(repetitions=REPETITIONS, seed=11, duration=60.0,
-                         tree=pretrained_tree),
-        rounds=1, iterations=1,
-    )
-    publish("fig7_accuracy", result.render())
+def test_fig7_far_frr_sweep(run_experiment):
+    result = run_experiment("fig7_accuracy")
     at_three = result.at_threshold(3)
     # FRR 0% everywhere at the paper's operating point.
     assert all(point.frr == 0.0 for point in at_three.values())

@@ -8,14 +8,10 @@ detector actually costs per header.
 
 from repro.blockdev.request import read as read_req, write as write_req
 from repro.core.detector import RansomwareDetector
-from repro.experiments import fig8
 
 
-def test_fig8_latency_model(benchmark, publish):
-    result = benchmark.pedantic(
-        lambda: fig8.run(seed=4, duration=40.0), rounds=1, iterations=1
-    )
-    publish("fig8_latency", result.render())
+def test_fig8_latency_model(run_experiment):
+    result = run_experiment("fig8_latency")
     # The paper's conclusions: insider overhead is a small constant per op,
     # writes cost more than reads, and both vanish against NAND latency.
     assert 100 <= result.avg_insider_read_ns <= 250

@@ -4,8 +4,6 @@ Worst case (90 % utilisation) and average case (70 %), as the paper
 reports: ~22 % extra copies at 90 %, ~0 % at 70 %.
 """
 
-from repro.experiments import fig9
-
 
 def _aggregate(result):
     conventional = sum(r.conventional_copies for r in result.rows)
@@ -14,12 +12,8 @@ def _aggregate(result):
     return conventional, insider, overhead
 
 
-def test_fig9_gc_overhead_worst_case(benchmark, publish):
-    result = benchmark.pedantic(
-        lambda: fig9.run(utilization=0.9, seed=5, duration=45.0),
-        rounds=1, iterations=1,
-    )
-    publish("fig9_gc_90", result.render())
+def test_fig9_gc_overhead_worst_case(run_experiment):
+    result = run_experiment("fig9_gc_90")
     conventional, insider, overhead = _aggregate(result)
     assert conventional > 0
     # Insider never erases pinned data for free: copies >= baseline,
@@ -29,12 +23,8 @@ def test_fig9_gc_overhead_worst_case(benchmark, publish):
     assert any(row.pinned_copies > 0 for row in result.rows)
 
 
-def test_fig9_gc_overhead_average_case(benchmark, publish):
-    result = benchmark.pedantic(
-        lambda: fig9.run(utilization=0.7, seed=5, duration=45.0),
-        rounds=1, iterations=1,
-    )
-    publish("fig9_gc_70", result.render())
+def test_fig9_gc_overhead_average_case(run_experiment):
+    result = run_experiment("fig9_gc_70")
     conventional, insider, overhead_70 = _aggregate(result)
     assert insider >= conventional
     # The paper's average case: near-free.  (Exact zero depends on trace

@@ -1,15 +1,8 @@
 """Detection latency per sample — the abstract's "within 10 s" claim."""
 
-from repro.experiments import latency_profile
 
-
-def test_latency_profile(benchmark, publish, pretrained_tree):
-    result = benchmark.pedantic(
-        lambda: latency_profile.run(repetitions=5, seed=11, duration=60.0,
-                                    tree=pretrained_tree),
-        rounds=1, iterations=1,
-    )
-    publish("latency_profile", result.render())
+def test_latency_profile(run_experiment):
+    result = run_experiment("latency_profile")
     # Every combination detected in every run...
     for row in result.rows:
         assert row.detected == row.runs, row.scenario

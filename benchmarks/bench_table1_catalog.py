@@ -1,10 +1,7 @@
 """Table I — the implemented training/testing scenario matrix."""
 
-from repro.experiments import table1
 
-
-def test_table1_scenario_matrix(benchmark, publish):
-    result = benchmark.pedantic(table1.run, rounds=1, iterations=1)
-    publish("table1_catalog", result.render())
+def test_table1_scenario_matrix(run_experiment):
+    result = run_experiment("table1_catalog")
     assert len(result.training_rows) == 13
     assert len(result.testing_rows) == 12

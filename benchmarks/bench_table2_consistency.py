@@ -2,24 +2,18 @@
 
 The paper ran 100 cycles against EXT4; this benchmark runs a reduced count
 by default (each cycle builds a filesystem, attacks it, recovers, fscks,
-and audits every file).  Raise ``CYCLES`` for the full-fidelity run.
+and audits every file).  Raise the cycles in ``run_all.EXPERIMENTS`` for
+the full-fidelity run.
 """
 
 from repro.experiments import table2
 
-CYCLES = 6
 
-
-def test_table2_consistency_cycles(benchmark, publish, pretrained_tree):
-    result = benchmark.pedantic(
-        lambda: table2.run(cycles=CYCLES, seed=3, tree=pretrained_tree,
-                           num_files=250),
-        rounds=1, iterations=1,
-    )
-    publish("table2_consistency", result.render())
+def test_table2_consistency_cycles(run_experiment):
+    result = run_experiment("table2_consistency")
     # The paper's outcome: every cycle detected, every corruption resolved,
     # no encrypted file left, nothing lost.
-    assert result.alarms == CYCLES
+    assert result.alarms == result.cycles
     assert result.unresolved == 0
     assert result.files_encrypted_left == 0
     assert result.files_lost == 0

@@ -2,15 +2,11 @@
 
 import pytest
 
-from repro.experiments import table3
 from repro.units import MIB
 
 
-def test_table3_dram_budget(benchmark, publish):
-    result = benchmark.pedantic(
-        lambda: table3.run(seed=6, duration=30.0), rounds=1, iterations=1
-    )
-    publish("table3_dram", result.render())
+def test_table3_dram_budget(run_experiment):
+    result = run_experiment("table3_dram")
     assert result.budget.total_bytes / MIB == pytest.approx(40.03, abs=0.01)
     # The provisioned hash table covers the measured peak with margin.
     assert result.measured_peak_hash < result.budget.hash_entries

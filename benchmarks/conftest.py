@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.pretrained import default_tree
+from repro.experiments.run_all import EXPERIMENTS
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -39,3 +40,20 @@ def publish(results_dir):
         (results_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
 
     return _publish
+
+
+@pytest.fixture
+def run_experiment(benchmark, publish):
+    """Run one ``run_all.EXPERIMENTS`` entry once and publish its result.
+
+    The parameters live in that table alone, so this suite and
+    ``python -m repro.experiments.run_all`` write the same files.
+    """
+    runners = dict(EXPERIMENTS)
+
+    def _run(name: str):
+        result = benchmark.pedantic(runners[name], rounds=1, iterations=1)
+        publish(name, result.render())
+        return result
+
+    return _run

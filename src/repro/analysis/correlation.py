@@ -11,7 +11,7 @@ statistic is the Pearson correlation across slices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -33,23 +33,6 @@ class CorrelationResult:
     pearson: float
     #: (feature value, active seconds) per slice, for plotting.
     points: Tuple[Tuple[float, float], ...]
-
-    def binned(self, num_bins: int = 8) -> List[Tuple[float, float]]:
-        """(bin centre, mean active seconds) rows — the figure's trend."""
-        if not self.points:
-            return []
-        values = np.array([p[0] for p in self.points])
-        activity = np.array([p[1] for p in self.points])
-        top = values.max()
-        if top <= 0:
-            return [(0.0, float(activity.mean()))]
-        edges = np.linspace(0, top, num_bins + 1)
-        rows = []
-        for low, high in zip(edges[:-1], edges[1:]):
-            mask = (values >= low) & (values < high if high < top else values <= high)
-            if mask.any():
-                rows.append((float((low + high) / 2), float(activity[mask].mean())))
-        return rows
 
 
 def active_seconds_per_slice(run: ScenarioRun, slice_duration: float = 1.0) -> List[float]:

@@ -7,7 +7,7 @@ faster than every benign workload except data wiping.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import List, Optional
 
 from repro.core.config import DetectorConfig
 from repro.core.features import FEATURE_NAMES
@@ -36,13 +36,3 @@ def cumulative_feature_series(
         series.append(total)
     return series
 
-
-def cumulative_comparison(
-    runs: Iterable[ScenarioRun],
-    feature: str,
-    config: Optional[DetectorConfig] = None,
-) -> Dict[str, List[float]]:
-    """Cumulative series per run, keyed by run name — one figure's lines."""
-    return {
-        run.name: cumulative_feature_series(run, feature, config) for run in runs
-    }

@@ -118,14 +118,6 @@ class Trace:
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def filter_source(self, source: str) -> "Trace":
-        """A new trace containing only requests from the given source."""
-        return Trace(r for r in self._requests if r.source == source)
-
-    def slice_time(self, start: float, end: float) -> "Trace":
-        """A new trace of requests with ``start <= time < end``."""
-        return Trace(r for r in self._requests if start <= r.time < end)
-
     # -- persistence ---------------------------------------------------
 
     def save(self, path: Union[str, Path]) -> None:

@@ -124,17 +124,6 @@ def _binary_entropy(p: np.ndarray) -> np.ndarray:
     return result
 
 
-def information_gain(labels: np.ndarray, mask: np.ndarray) -> float:
-    """Gain of splitting ``labels`` into ``mask`` / ``~mask`` partitions."""
-    total = labels.size
-    left = labels[mask]
-    right = labels[~mask]
-    if left.size == 0 or right.size == 0:
-        return 0.0
-    weighted = (left.size / total) * entropy(left) + (right.size / total) * entropy(right)
-    return entropy(labels) - weighted
-
-
 class DecisionTree:
     """Binary ID3 classifier over continuous features.
 
@@ -283,48 +272,6 @@ class DecisionTree:
                     (sorted_values[cut] + sorted_values[cut + 1]) / 2.0
                 )
         return best_feature, best_threshold, best_gain
-
-    # -- pruning ---------------------------------------------------------
-
-    def prune(self, features: Sequence[Sequence[float]],
-              labels: Sequence[int]) -> int:
-        """Reduced-error pruning against a held-out validation set.
-
-        Bottom-up: each internal node is provisionally replaced by a
-        majority leaf; the replacement sticks when validation accuracy
-        does not drop.  Shrinks the firmware table and trims leaves that
-        memorised training noise.  Returns the number of nodes removed.
-        """
-        if self.root is None:
-            raise NotFittedError("DecisionTree.fit was never called")
-        matrix = np.asarray(features, dtype=float)
-        target = np.asarray(labels, dtype=int)
-        if matrix.shape[0] == 0:
-            raise TrainingError("validation set must not be empty")
-        before = self.node_count()
-        self._prune_node(self.root, matrix, target)
-        self._node_id_cache = None
-        return before - self.node_count()
-
-    def _prune_node(self, node: TreeNode, matrix: np.ndarray,
-                    target: np.ndarray) -> None:
-        if node.is_leaf:
-            return
-        self._prune_node(node.left, matrix, target)
-        self._prune_node(node.right, matrix, target)
-        if not (node.left.is_leaf and node.right.is_leaf):
-            return
-        baseline = self.accuracy(matrix, target)
-        saved = (node.feature, node.threshold, node.left, node.right)
-        # Provisional majority leaf (by training sample counts).
-        left_weight = node.left.samples if node.left.label == 1 else 0
-        right_weight = node.right.samples if node.right.label == 1 else 0
-        positives = left_weight + right_weight
-        node.label = int(positives * 2 >= node.samples)
-        node.feature = node.threshold = node.left = node.right = None
-        if self.accuracy(matrix, target) < baseline:
-            node.feature, node.threshold, node.left, node.right = saved
-            node.label = None
 
     # -- inference ---------------------------------------------------------
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.core.counting_table import HASH_ENTRY_SIZE_BYTES, TABLE_ENTRY_SIZE_BYTES
-from repro.errors import ConfigError
 from repro.ftl.recovery_queue import ENTRY_SIZE_BYTES as QUEUE_ENTRY_SIZE_BYTES
-from repro.units import BLOCK_SIZE, MIB
+from repro.units import MIB
 
 #: Entry provisioning used by the paper's Table III.
 PAPER_HASH_ENTRIES = 250_000
@@ -68,28 +67,4 @@ def paper_memory_budget() -> MemoryBudget:
         hash_entries=PAPER_HASH_ENTRIES,
         counting_entries=PAPER_COUNTING_ENTRIES,
         queue_entries=PAPER_QUEUE_ENTRIES,
-    )
-
-
-def estimate_memory_budget(
-    write_bandwidth_bytes_per_s: float,
-    read_bandwidth_bytes_per_s: float,
-    retention: float = 10.0,
-    counting_entries: int = PAPER_COUNTING_ENTRIES,
-) -> MemoryBudget:
-    """Provision the structures for a device's worst-case throughput.
-
-    The recovery queue must absorb one retention window of full-rate
-    overwrites; the hash table must index one window of full-rate reads.
-    """
-    if write_bandwidth_bytes_per_s <= 0 or read_bandwidth_bytes_per_s <= 0:
-        raise ConfigError("bandwidths must be positive")
-    if retention <= 0:
-        raise ConfigError(f"retention must be positive, got {retention}")
-    queue_entries = int(write_bandwidth_bytes_per_s * retention / BLOCK_SIZE)
-    hash_entries = int(read_bandwidth_bytes_per_s * retention / BLOCK_SIZE)
-    return MemoryBudget(
-        hash_entries=max(hash_entries, 1),
-        counting_entries=max(counting_entries, 1),
-        queue_entries=max(queue_entries, 1),
     )

@@ -92,10 +92,6 @@ class DeviceError(ReproError):
     """Base class for SSD device-level errors."""
 
 
-class DeviceReadOnlyError(DeviceError):
-    """A write was issued while the device is in read-only lockdown."""
-
-
 class RecoveryError(DeviceError):
     """The rollback procedure could not complete."""
 

@@ -2,8 +2,11 @@
 
 Run:  python -m repro.experiments.run_all [results_dir]
 
-Writes one text file per experiment under ``results/`` (same outputs the
-benchmark suite produces, without pytest).  Takes several minutes.
+Writes one text file per experiment under ``results/``: the same files
+the benchmark suite writes, without pytest, because both take their
+parameters from :data:`EXPERIMENTS`.  Three results only ``benchmarks/``
+writes: ``hybrid_entropy``, ``throughput`` and ``table2_journaled``.
+Takes several minutes.
 
 Per-experiment wall-clock timings are recorded through the observability
 layer (:mod:`repro.obs`): a span per experiment, exported as
@@ -35,7 +38,8 @@ from repro.experiments import (
     table3,
 )
 
-#: (output name, callable) in presentation order.
+#: (output name, callable) in presentation order; the benchmark suite
+#: runs these same callables.
 EXPERIMENTS = (
     ("table1_catalog", lambda: table1.run()),
     ("fig1_overwriting", lambda: fig1.run(seed=1, duration=45.0)),
@@ -52,9 +56,10 @@ EXPERIMENTS = (
     ("ablation_features", lambda: ablation_features.run(seed=2)),
     ("ablation_classifier", lambda: ablation_classifier.run(seed=2)),
     ("ablation_window", lambda: ablation_window.run(windows=(5, 10),
-                                                    seed=2)),
-    ("ablation_gc", lambda: ablation_gc.run(seed=2)),
-    ("evasion_sweep", lambda: evasion.run(seed=2)),
+                                                    seed=2, repetitions=1)),
+    ("ablation_gc", lambda: ablation_gc.run(seed=2, duration=35.0)),
+    ("evasion_sweep", lambda: evasion.run(rates=(5, 25, 100, 400, 1600),
+                                          seed=2, repetitions=2)),
     ("latency_profile", lambda: latency_profile.run(repetitions=5, seed=11)),
 )
 

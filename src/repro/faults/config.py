@@ -78,13 +78,3 @@ class FaultConfig:
             raise ConfigError("factory_bad_blocks must be >= 0")
         if self.power_loss_at is not None and self.power_loss_at < 0:
             raise ConfigError("power_loss_at must be >= 0")
-
-    @property
-    def any_media_faults(self) -> bool:
-        """True when any per-operation fault can actually fire."""
-        return (
-            self.read_fault_rate > 0.0
-            or self.program_fail_rate > 0.0
-            or self.erase_fail_rate > 0.0
-            or self.factory_bad_blocks > 0
-        )

@@ -19,7 +19,7 @@ The reproducibility contract (documented operator-facing in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.rand import derive_rng, derive_seed
@@ -304,15 +304,6 @@ class FleetPlan:
                 f"device id prefix {id_prefix!r} is ambiguous"
             )
         return self.device_spec(matches[0])
-
-    def shard_indices(self, shards: int) -> List[List[int]]:
-        """Round-robin partition of device indices into ``shards`` lists."""
-        if shards < 1:
-            raise WorkloadError(f"shards must be >= 1, got {shards}")
-        buckets: List[List[int]] = [[] for _ in range(shards)]
-        for index in range(self.devices):
-            buckets[index % shards].append(index)
-        return buckets
 
     # -- wire form ---------------------------------------------------------
 

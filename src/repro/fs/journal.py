@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.errors import FilesystemError
 from repro.fs.layout import decode_block, encode_block
@@ -157,11 +157,3 @@ class MetadataJournal:
         if transactions:
             self._next_seq = transactions[-1].seq + 1
         return len(transactions)
-
-    def latest_state(self) -> Dict[int, bytes]:
-        """Newest committed payload per target (for inspection)."""
-        state: Dict[int, bytes] = {}
-        for transaction in self.scan():
-            for target, payload in transaction.updates:
-                state[target] = payload
-        return state

@@ -12,6 +12,7 @@ unobserved request makes no extra call.
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
@@ -161,7 +162,8 @@ class Observability(Probe):
             rows (``None`` disables periodic snapshots).
 
     Each piece is armed only when supplied.  One bundle observes one
-    device.
+    device, through a weak reference, so the request wrappers it installs
+    leave the device graph acyclic.
     """
 
     def __init__(
@@ -179,6 +181,8 @@ class Observability(Probe):
         #: Open spans, with the counters/queue state they started from.
         self._gc_spans: List[Tuple[object, int, int]] = []
         self._rollback: Tuple[object, object] = (None, None)
+        #: The observed device, as a weak reference once attached.
+        self._device: Optional[weakref.ref] = None
 
     @classmethod
     def on(
@@ -208,14 +212,15 @@ class Observability(Probe):
             for name in _LIVE_SPECS:
                 if detector is not None or not name.startswith("detector_"):
                     self._series(name)
+        self._device = weakref.ref(device)
         # The wrappers look the original up on the class at each call, so
         # a LayerProfiler armed later still times it.
         fr = self.flightrec
         if fr is not None and detector is not None:
-            detector.observe = partial(self._observe_header, device)
+            detector.observe = self._observe_header
         if (self.tracer.enabled or self.metrics is not None
                 or self.snapshot_interval is not None or fr is not None):
-            device._execute = partial(self._execute, device)
+            device._execute = self._execute
 
     def queue_note(self, queue) -> Optional[Callable]:
         """A callback folding each logged entry into the armed sinks."""
@@ -245,8 +250,9 @@ class Observability(Probe):
         self.metrics.record_snapshot(now, wall_time=perf_counter())
         self._last_snapshot = now
 
-    def _execute(self, device, request, payload=None):
+    def _execute(self, request, payload=None):
         """One host request under the request span, counters and snapshots."""
+        device = self._device()
         if self.snapshot_interval is not None:
             self._snapshot_if_due(device)
         execute = type(device)._execute
@@ -269,9 +275,10 @@ class Observability(Probe):
                        category="queue")
         return result
 
-    def _observe_header(self, device, request) -> None:
+    def _observe_header(self, request) -> None:
         """The recorder keeps the header once the detector has read it, so
         an alarm incident cut inside ``observe`` predates it."""
+        device = self._device()
         detector = device.detector
         type(detector).observe(detector, request)
         self._note_request(device, request)

@@ -14,11 +14,6 @@ import numpy as np
 DEFAULT_SEED = 20180707  # ICDCS 2018 + a stable offset; arbitrary but fixed.
 
 
-def make_rng(seed: int = DEFAULT_SEED) -> np.random.Generator:
-    """Create a root RNG from an integer seed."""
-    return np.random.default_rng(seed)
-
-
 def derive_seed(seed: int, *labels: str) -> int:
     """Derive a stable child seed from a root seed and a label path.
 

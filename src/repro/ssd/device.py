@@ -23,7 +23,6 @@ from repro.core.detector import DetectionEvent, RansomwareDetector, weak_hook
 from repro.core.id3 import DecisionTree
 from repro.errors import (
     AddressError,
-    DeviceReadOnlyError,
     ExhaustedRetriesError,
     OutOfSpaceError,
     RecoveryError,
@@ -62,9 +61,6 @@ class SimulatedSSD:
         tree: Detector tree; defaults to the library's pretrained tree.
         on_alarm: Host callback for the paper's "ransomware attack alarm"
             custom command (§III-C footnote 2).
-        strict_read_only: Raise on writes while locked instead of silently
-            dropping them (the paper's firmware ignores them; strict mode
-            helps tests catch unintended writes).
         obs: An :class:`~repro.obs.Observability` bundle to publish the
             device's, the detector's and the FTL's events to (request
             spans, slice events, GC spans, queue/latency metrics, incident
@@ -76,7 +72,6 @@ class SimulatedSSD:
         config: Optional[SSDConfig] = None,
         tree: Optional[DecisionTree] = None,
         on_alarm: Optional[Callable[[DetectionEvent], None]] = None,
-        strict_read_only: bool = False,
         obs: Optional[Probe] = None,
     ) -> None:
         self.config = config or SSDConfig.small()
@@ -113,8 +108,10 @@ class SimulatedSSD:
                 probe=self.probe,
             )
         self._host_alarm_callback = on_alarm
-        self.strict_read_only = strict_read_only
         self.read_only = False
+        #: Whether a write-path media failure caused the lockdown; only a
+        #: power cycle lifts it, never ``recover`` or ``dismiss_alarm``.
+        self._media_locked = False
         #: Sticky media-health flag: set when ECC or remap retries were
         #: exhausted; cleared only by a power cycle (fresh firmware boot).
         self.degraded = False
@@ -209,8 +206,6 @@ class SimulatedSSD:
         self._check_span(lba, 1)
         timestamp = self._stamp(now)
         if self.read_only:
-            if self.strict_read_only:
-                raise DeviceReadOnlyError("device is read-only after an alarm")
             self.stats.dropped_writes += 1
             return
         self.ftl.trim(lba, timestamp)
@@ -242,7 +237,8 @@ class SimulatedSSD:
     def recover(self) -> RollbackReport:
         """Roll the mapping table back one retention window (Fig. 5).
 
-        Returns the rollback report; the device becomes writable again and
+        Returns the rollback report; the device becomes writable again
+        (unless a media failure locked it, see :meth:`dismiss_alarm`) and
         the detector restarts clean (the paper asks the user to reboot and
         clean the ransomware; the detector must not keep alarming on the
         attack it already undid).
@@ -252,7 +248,7 @@ class SimulatedSSD:
         self.probe.rollback_started(self)
         report = self.ftl.rollback(self.clock.now)
         self.rollback_reports.append(report)
-        self.read_only = False
+        self.read_only = self._media_locked
         if self.detector is not None:
             self.detector.reset()
         self.probe.rolled_back(self, report)
@@ -272,12 +268,16 @@ class SimulatedSSD:
         self._boot(InsiderFTL.rebuild)
         if self.detector is not None:
             self.detector.reset()
-        self.read_only = False
+        self.read_only = self._media_locked = False
         self.degraded = False
 
     def dismiss_alarm(self) -> None:
-        """Host says "false alarm": unlock writes, keep the data as is."""
-        self.read_only = False
+        """Host says "false alarm": unlock writes, keep the data as is.
+
+        Lifts only the alarm's lockdown: a device that a write-path media
+        failure locked stays read-only until :meth:`power_cycle`.
+        """
+        self.read_only = self._media_locked
         if self.detector is not None:
             self.detector.reset()
 
@@ -369,7 +369,7 @@ class SimulatedSSD:
         """
         self.degraded = True
         if lockdown:
-            self.read_only = True
+            self.read_only = self._media_locked = True
         self.probe.media_alarm(self, reason, lockdown, details)
 
     def _block_data(self, ppa: Optional[int]) -> bytes:
@@ -418,10 +418,6 @@ class SimulatedSSD:
         )
         while length:
             if self.read_only:
-                if self.strict_read_only:
-                    raise DeviceReadOnlyError(
-                        "device is read-only after an alarm"
-                    )
                 stats.dropped_writes += length
                 return
             try:

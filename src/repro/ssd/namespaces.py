@@ -27,7 +27,7 @@ from repro.blockdev.request import IOMode, IORequest
 from repro.core.config import DetectorConfig
 from repro.core.detector import DetectionEvent, RansomwareDetector, weak_hook
 from repro.core.id3 import DecisionTree
-from repro.errors import AddressError, ConfigError, DeviceReadOnlyError
+from repro.errors import AddressError, ConfigError
 from repro.ftl.insider import RollbackReport
 from repro.ssd.device import SimulatedSSD
 

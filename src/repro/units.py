@@ -1,12 +1,10 @@
-"""Unit constants and helpers.
+"""Unit constants.
 
 Simulated time is a ``float`` number of seconds throughout the library.
 Sizes are integer numbers of bytes, and addresses are integer block (page)
 numbers.  This module centralises the conversion constants so magic numbers
 never appear at call sites.
 """
-
-from __future__ import annotations
 
 # -- time ------------------------------------------------------------------
 
@@ -26,46 +24,3 @@ GIB = 1024 * MIB
 #: blocks and ``Length`` is expressed in these units.
 BLOCK_SIZE = 4 * KIB
 
-
-def seconds_to_ns(seconds: float) -> float:
-    """Convert seconds to nanoseconds."""
-    return seconds / NS
-
-
-def ns_to_seconds(nanoseconds: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return nanoseconds * NS
-
-
-def bytes_to_blocks(num_bytes: int, block_size: int = BLOCK_SIZE) -> int:
-    """Round a byte count up to whole logical blocks."""
-    if num_bytes < 0:
-        raise ValueError(f"byte count must be non-negative, got {num_bytes}")
-    return -(-num_bytes // block_size)
-
-
-def format_size(num_bytes: float) -> str:
-    """Render a byte count with a binary-unit suffix, e.g. ``'40.03 MB'``.
-
-    Used by the Table III DRAM report; follows the paper's loose use of
-    decimal-looking labels over binary multiples.
-    """
-    if num_bytes < 0:
-        raise ValueError(f"byte count must be non-negative, got {num_bytes}")
-    for suffix, factor in (("GB", GIB), ("MB", MIB), ("KB", KIB)):
-        if num_bytes >= factor:
-            return f"{num_bytes / factor:.2f} {suffix}"
-    return f"{num_bytes:.0f} B"
-
-
-def format_duration(seconds: float) -> str:
-    """Render a duration with an appropriate unit, e.g. ``'147 ns'``."""
-    if seconds < 0:
-        raise ValueError(f"duration must be non-negative, got {seconds}")
-    if seconds >= 1.0:
-        return f"{seconds:.2f} s"
-    if seconds >= MS:
-        return f"{seconds / MS:.2f} ms"
-    if seconds >= US:
-        return f"{seconds / US:.2f} us"
-    return f"{seconds / NS:.0f} ns"

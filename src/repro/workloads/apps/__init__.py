@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict
 
-from repro.errors import WorkloadError
 from repro.workloads.apps.antivirus import AntivirusApp
 from repro.workloads.apps.browser import BrowserApp
 from repro.workloads.apps.cloud import CloudStorageApp
@@ -102,22 +101,6 @@ APP_REGISTRY: Dict[str, AppSpec] = {
 }
 
 
-def make_app(
-    key: str,
-    region: LbaRegion,
-    start: float = 0.0,
-    duration: float = 60.0,
-    seed: int = 0,
-) -> Workload:
-    """Instantiate a registered app over a region."""
-    spec = APP_REGISTRY.get(key.lower())
-    if spec is None:
-        raise WorkloadError(
-            f"unknown app {key!r}; known: {sorted(APP_REGISTRY)}"
-        )
-    return spec.factory(region, start=start, duration=duration, seed=seed)
-
-
 __all__ = [
     "APP_REGISTRY",
     "AppSpec",
@@ -141,5 +124,4 @@ __all__ = [
     "P2PApp",
     "VideoDecodeApp",
     "VideoEncodeApp",
-    "make_app",
 ]

@@ -27,7 +27,6 @@ from typing import Optional
 from repro.blockdev.request import IOMode, IORequest
 from repro.errors import (
     AddressError,
-    DeviceReadOnlyError,
     ExhaustedRetriesError,
     FtlError,
     OutOfSpaceError,
@@ -205,8 +204,6 @@ class BlockPathSSD(SimulatedSSD):
 
     def _write_block(self, lba: int, payload: Optional[bytes]) -> None:
         if self.read_only:
-            if self.strict_read_only:
-                raise DeviceReadOnlyError("device is read-only after an alarm")
             self.stats.dropped_writes += 1
             return
         if self.detector is not None and hasattr(self.detector.tree,

@@ -6,10 +6,7 @@ from repro.analysis.correlation import (
     active_seconds_per_slice,
     feature_activity_correlation,
 )
-from repro.analysis.cumulative import (
-    cumulative_comparison,
-    cumulative_feature_series,
-)
+from repro.analysis.cumulative import cumulative_feature_series
 from repro.analysis.report import render_table
 from repro.errors import ConfigError
 from repro.workloads.scenario import Scenario
@@ -48,11 +45,6 @@ class TestCorrelation:
         result = feature_activity_correlation(ransom_run, "owio")
         assert len(result.points) == 30
 
-    def test_binned_trend_increases(self, ransom_run):
-        result = feature_activity_correlation(ransom_run, "owio")
-        bins = result.binned(4)
-        assert bins[-1][1] > bins[0][1]
-
     def test_unknown_feature_rejected(self, ransom_run):
         with pytest.raises(ConfigError):
             feature_activity_correlation(ransom_run, "entropy")
@@ -62,10 +54,6 @@ class TestCumulative:
     def test_series_nondecreasing(self, ransom_run):
         series = cumulative_feature_series(ransom_run, "owio")
         assert all(b >= a for a, b in zip(series, series[1:]))
-
-    def test_comparison_keys(self, ransom_run):
-        comparison = cumulative_comparison([ransom_run], "owio")
-        assert set(comparison) == {"corr"}
 
     def test_unknown_feature_rejected(self, ransom_run):
         with pytest.raises(ConfigError):

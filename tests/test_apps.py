@@ -6,11 +6,7 @@ from repro.blockdev.trace import Trace
 from repro.core.config import DetectorConfig
 from repro.core.counting_table import CountingTable
 from repro.errors import WorkloadError
-from repro.workloads.apps import (
-    APP_REGISTRY,
-    CATEGORIES,
-    make_app,
-)
+from repro.workloads.apps import APP_REGISTRY, CATEGORIES
 from repro.workloads.apps.iostress import IoStressApp
 from repro.workloads.apps.wiping import DOD_PASSES, DataWipingApp
 from repro.workloads.base import LbaRegion
@@ -19,7 +15,8 @@ REGION = LbaRegion(0, 40_000)
 
 
 def trace_of(key: str, duration=20.0, seed=3) -> Trace:
-    return Trace(make_app(key, REGION, duration=duration, seed=seed).requests())
+    app = APP_REGISTRY[key].factory(REGION, duration=duration, seed=seed)
+    return Trace(app.requests())
 
 
 def overwrite_stats(trace: Trace, window=10):
@@ -66,10 +63,6 @@ class TestRegistry:
             registry["websurfing"].ransomware_slowdown
         assert registry["compression"].ransomware_slowdown > \
             registry["kakaotalk"].ransomware_slowdown
-
-    def test_unknown_app_rejected(self):
-        with pytest.raises(WorkloadError):
-            make_app("solitaire", REGION)
 
     def test_every_app_generates_ordered_bounded_trace(self):
         for key in APP_REGISTRY:

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.entropy import HybridDetector
 from repro.core.pretrained import default_tree
-from repro.errors import DeviceReadOnlyError, ProgramFailError
+from repro.errors import ProgramFailError
 from repro.faults.config import FaultConfig
 from repro.faults.injector import FaultInjector
 from repro.ftl.insider import InsiderFTL
@@ -34,24 +34,22 @@ from tests.oracles.blockpath import BlockPathFTL, BlockPathSSD
 
 DURATION = 12.0
 
-#: Device kind -> (config faults, strict read-only, hybrid detector,
-#: observability armed).
+#: Device kind -> (config faults, hybrid detector, observability armed).
 KINDS = {
-    "plain": (None, False, False, False),
-    "observed": (None, False, False, True),
+    "plain": (None, False, False),
+    "observed": (None, False, True),
     # Transient and hard read faults (uncorrectable reads raise the media
     # alarm mid-request), program and erase failures (block retirement).
     "faults": (FaultConfig(seed=5, read_fault_rate=0.02, read_hard_share=0.3,
                            program_fail_rate=0.0004, erase_fail_rate=0.005),
-               False, False, True),
+               False, True),
     # Program failures turned up to exhaust a write's remap budget in the
     # middle of a request; the device locks itself down.
     "exhausted": (FaultConfig(seed=1, program_fail_rate=0.001,
                               read_fault_rate=0.01, read_hard_share=0.5),
-                  False, False, True),
-    "hybrid": (None, False, True, False),
-    "strict_read_only": (None, True, False, False),
-    "dropping_read_only": (None, False, False, False),
+                  False, True),
+    "hybrid": (None, True, False),
+    "dropping_read_only": (None, False, False),
 }
 
 #: Requests a read-only kind stays locked before it recovers.
@@ -60,20 +58,19 @@ LOCKED_REQUESTS = 300
 
 def _replay(device_class, kind):
     """Replay the golden slice on a fresh device; returns it and a tally."""
-    faults, strict, hybrid, observed = KINDS[kind]
+    faults, hybrid, observed = KINDS[kind]
     config = SSDConfig.small()
     if faults is not None:
         config = dataclasses.replace(config, faults=faults)
     device = device_class(
         config,
         tree=HybridDetector(default_tree()) if hybrid else None,
-        strict_read_only=strict,
         obs=Observability.on(flight=FlightRecorder()) if observed else None,
     )
     run = golden_scenario(duration=DURATION).build(seed=GOLDEN_SEED,
                                                    duration=DURATION)
     num_lbas = device.num_lbas
-    tally = {"refused": 0, "mid_request_failures": 0,
+    tally = {"mid_request_failures": 0,
              "relocation_program_fails": 0}
     _count_relocation_program_fails(device, tally)
     locked = 0
@@ -91,10 +88,7 @@ def _replay(device_class, kind):
         lba = request.lba % max(1, num_lbas - request.length)
         failed_before = device.stats.failed_writes
         writes_before = device.stats.writes
-        try:
-            device.submit(dataclasses.replace(request, lba=lba))
-        except DeviceReadOnlyError:
-            tally["refused"] += 1
+        device.submit(dataclasses.replace(request, lba=lba))
         if (device.stats.failed_writes > failed_before
                 and device.stats.writes - writes_before > 1):
             tally["mid_request_failures"] += 1
@@ -189,8 +183,6 @@ def test_run_path_matches_per_block_loop(kind):
     if kind == "exhausted":
         assert tally["mid_request_failures"] == stats.failed_writes == 1
         assert tally["relocation_program_fails"] > 0
-    if kind == "strict_read_only":
-        assert tally["refused"] > 0 and stats.dropped_writes == 0
     if kind == "dropping_read_only":
         assert stats.dropped_writes > 0
     assert device.rollback_reports

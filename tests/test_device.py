@@ -7,7 +7,7 @@ import pytest
 from repro.blockdev.request import IORequest, read as read_req, write as write_req
 from repro.core.detector import RansomwareDetector
 from repro.core.id3 import DecisionTree, TreeNode
-from repro.errors import AddressError, DeviceReadOnlyError, RecoveryError
+from repro.errors import AddressError, RecoveryError
 from repro.faults.config import FaultConfig
 from repro.nand.block import PageState
 from repro.obs import Observability
@@ -27,9 +27,9 @@ def plain_ssd() -> SimulatedSSD:
     return SimulatedSSD(SSDConfig.tiny(detector_enabled=False))
 
 
-def paranoid_ssd(**kwargs) -> SimulatedSSD:
+def paranoid_ssd() -> SimulatedSSD:
     """A device whose detector alarms after three slices of anything."""
-    return SimulatedSSD(SSDConfig.tiny(), tree=constant_tree(1), **kwargs)
+    return SimulatedSSD(SSDConfig.tiny(), tree=constant_tree(1))
 
 
 class TestHostIo:
@@ -78,12 +78,6 @@ class TestAlarmLockdown:
         ssd.write(3, b"evil", now=6.0)
         assert ssd.stats.dropped_writes == 1
         assert ssd.read(3) == bytes(BLOCK_SIZE)
-
-    def test_strict_mode_raises(self):
-        ssd = paranoid_ssd(strict_read_only=True)
-        ssd.tick(5.0)
-        with pytest.raises(DeviceReadOnlyError):
-            ssd.write(3, b"evil", now=6.0)
 
     def test_reads_still_served_while_locked(self):
         ssd = paranoid_ssd()

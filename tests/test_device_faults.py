@@ -131,6 +131,24 @@ class TestGracefulDegradation:
         assert device.degraded
         assert device.read_only
 
+    def test_only_a_power_cycle_lifts_a_media_lockdown(self):
+        device = SimulatedSSD(SSDConfig.tiny(
+            faults=FaultConfig(seed=3, program_fail_rate=0.01)))
+        step = 0
+        while not device.read_only:
+            device.write(step % 100, b"x", now=0.001 * step)
+            step += 1
+        assert step == 112
+        assert device.degraded and not device.alarm_raised
+        assert device.stats.failed_writes == 1
+        device.dismiss_alarm()
+        assert device.read_only
+        device.write(5, b"y", now=0.001 * step)
+        assert device.stats.failed_writes == 1
+        assert device.stats.dropped_writes == 1
+        device.power_cycle()
+        assert not device.read_only
+
     @pytest.mark.parametrize("fault_seed", [1, 2, 3])
     def test_spare_pool_exhaustion_locks_the_device(self, fault_seed):
         """Retirements that eat every spare block end the span in a

@@ -18,6 +18,8 @@ from repro.fleet.plan import FleetPlan
 from repro.fleet.worker import build_device
 from repro.ftl.scrub import ScrubConfig
 from repro.ftl.wearlevel import WearLevelConfig
+from repro.obs import Observability
+from repro.obs.flightrec import FlightRecorder
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SimulatedSSD
 from repro.ssd.namespaces import NamespaceManager
@@ -74,9 +76,9 @@ def power_cycled() -> SimulatedSSD:
     return device
 
 
-def churned(config: SSDConfig, span: int = 100):
+def churned(config: SSDConfig, span: int = 100, obs=None):
     def build() -> SimulatedSSD:
-        device = SimulatedSSD(config)
+        device = SimulatedSSD(config, obs=obs() if obs is not None else None)
         churn(device, span=span)
         return device
     return build
@@ -99,6 +101,10 @@ CONFIGS = {
     "recovered": recovered,
     "power_cycled": power_cycled,
     "fleet": fleet_device,
+    "armed": churned(SSDConfig.small(), span=2_000, obs=Observability.on),
+    "armed_flight": churned(
+        SSDConfig.small(), span=2_000,
+        obs=lambda: Observability.on(flight=FlightRecorder())),
 }
 
 

@@ -7,12 +7,13 @@ import pytest
 import repro.errors as errors_module
 from repro.errors import (
     ConfigError,
-    DeviceReadOnlyError,
+    DeviceError,
     FilesystemError,
     FileNotFoundFsError,
     FtlError,
     NandError,
     OutOfSpaceError,
+    RecoveryError,
     ReproError,
     UnmappedReadError,
 )
@@ -28,7 +29,7 @@ class TestHierarchy:
         assert issubclass(OutOfSpaceError, FtlError)
         assert issubclass(UnmappedReadError, FtlError)
         assert issubclass(FileNotFoundFsError, FilesystemError)
-        assert issubclass(DeviceReadOnlyError, ReproError)
+        assert issubclass(RecoveryError, DeviceError)
 
     def test_single_catch_covers_everything(self):
         with pytest.raises(ReproError):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.blockdev.trace import Trace
 from repro.train.evaluate import evaluate_run
-from repro.workloads.apps import APP_REGISTRY, make_app
+from repro.workloads.apps import APP_REGISTRY
 from repro.workloads.base import LbaRegion
 from repro.workloads.scenario import Scenario
 
@@ -16,8 +16,8 @@ class TestDefrag:
         assert APP_REGISTRY["defrag"].category == "heavy_overwrite"
 
     def test_long_run_requests(self):
-        trace = Trace(make_app("defrag", REGION, duration=15.0,
-                               seed=1).requests())
+        trace = Trace(APP_REGISTRY["defrag"].factory(
+            REGION, duration=15.0, seed=1).requests())
         writes = [r for r in trace if r.is_write]
         assert writes
         assert sum(r.length for r in writes) / len(writes) >= 8
@@ -25,8 +25,8 @@ class TestDefrag:
     def test_overwrites_previously_read_blocks(self):
         """The compaction target was read earlier in the pass — genuine
         overwrites by the detector's definition."""
-        trace = Trace(make_app("defrag", REGION, duration=15.0,
-                               seed=1).requests())
+        trace = Trace(APP_REGISTRY["defrag"].factory(
+            REGION, duration=15.0, seed=1).requests())
         read = set()
         overwrites = 0
         for request in trace:
@@ -80,8 +80,8 @@ class TestDefrag:
 
 class TestAntivirus:
     def test_read_dominated(self):
-        stats = Trace(make_app("antivirus", REGION, duration=15.0,
-                               seed=1).requests()).stats()
+        stats = Trace(APP_REGISTRY["antivirus"].factory(
+            REGION, duration=15.0, seed=1).requests()).stats()
         assert stats.blocks_read > 50 * max(1, stats.blocks_written)
 
     def test_no_false_alarm_at_operating_point(self, pretrained_tree):

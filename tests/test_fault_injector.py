@@ -14,7 +14,9 @@ def drain_reads(injector, count=2000):
 class TestConfigValidation:
     def test_defaults_are_all_off(self):
         config = FaultConfig()
-        assert not config.any_media_faults
+        assert (config.read_fault_rate, config.program_fail_rate,
+                config.erase_fail_rate,
+                config.factory_bad_blocks) == (0, 0, 0, 0)
         assert config.power_loss_at is None
 
     @pytest.mark.parametrize("name", ["read_fault_rate", "program_fail_rate",
@@ -40,13 +42,6 @@ class TestConfigValidation:
     def test_rejects_negative_power_loss_time(self):
         with pytest.raises(ConfigError):
             FaultConfig(power_loss_at=-1.0)
-
-    def test_any_media_faults_flags_each_class(self):
-        assert FaultConfig(read_fault_rate=0.1).any_media_faults
-        assert FaultConfig(program_fail_rate=0.1).any_media_faults
-        assert FaultConfig(erase_fail_rate=0.1).any_media_faults
-        assert FaultConfig(factory_bad_blocks=1).any_media_faults
-        assert not FaultConfig(power_loss_at=5.0).any_media_faults
 
 
 class TestDeterminism:

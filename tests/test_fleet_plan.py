@@ -137,13 +137,6 @@ class TestFleetPlan:
         with pytest.raises(WorkloadError):
             plan.device_spec(-1)
 
-    def test_shard_indices_partition(self):
-        plan = FleetPlan(devices=10, seed=0)
-        buckets = plan.shard_indices(3)
-        flat = sorted(i for bucket in buckets for i in bucket)
-        assert flat == list(range(10))
-        assert max(len(b) for b in buckets) - min(len(b) for b in buckets) <= 1
-
     def test_dict_round_trip(self):
         plan = FleetPlan(devices=12, seed=5,
                          mix=ScenarioMix.parse("test-ransom-only:2,test-iometer-cryptoshield"),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.id3 import DecisionTree, entropy, information_gain
+from repro.core.id3 import DecisionTree, entropy
 from repro.errors import NotFittedError, TrainingError
 
 NAMES = ("a", "b")
@@ -26,16 +26,6 @@ class TestEntropy:
 
     def test_empty_is_zero(self):
         assert entropy(np.array([])) == 0.0
-
-    def test_information_gain_perfect_split(self):
-        labels = np.array([0, 0, 1, 1])
-        mask = np.array([True, True, False, False])
-        assert information_gain(labels, mask) == pytest.approx(1.0)
-
-    def test_information_gain_useless_split(self):
-        labels = np.array([0, 1, 0, 1])
-        mask = np.array([True, True, False, False])  # 50/50 on both sides
-        assert information_gain(labels, mask) == pytest.approx(0.0)
 
 
 class TestFit:

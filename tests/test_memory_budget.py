@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.memory import (
-    MemoryBudget,
-    estimate_memory_budget,
-    paper_memory_budget,
-)
-from repro.errors import ConfigError
+from repro.core.memory import paper_memory_budget
 from repro.units import MIB
 
 
@@ -29,21 +24,3 @@ class TestPaperBudget:
         ]
         assert rows[0][1] == 42 and rows[1][1] == 12 and rows[2][1] == 12
 
-
-class TestEstimation:
-    def test_scales_with_bandwidth(self):
-        slow = estimate_memory_budget(100 * MIB, 200 * MIB)
-        fast = estimate_memory_budget(700 * MIB, 1200 * MIB)
-        assert fast.queue_entries > slow.queue_entries
-        assert fast.hash_entries > slow.hash_entries
-
-    def test_window_of_writes_fits_queue(self):
-        budget = estimate_memory_budget(700 * MIB, 1200 * MIB, retention=10.0)
-        # 700 MiB/s of 4-KiB blocks for 10 s.
-        assert budget.queue_entries == 700 * 256 * 10
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ConfigError):
-            estimate_memory_budget(0, 100)
-        with pytest.raises(ConfigError):
-            estimate_memory_budget(100, 100, retention=0)

@@ -1,6 +1,6 @@
 """Seed derivation determinism and independence."""
 
-from repro.rand import DEFAULT_SEED, derive_rng, derive_seed, make_rng
+from repro.rand import DEFAULT_SEED, derive_rng, derive_seed
 
 
 class TestDeriveSeed:
@@ -23,9 +23,6 @@ class TestDeriveSeed:
 
 
 class TestRngs:
-    def test_make_rng_deterministic(self):
-        assert make_rng(7).integers(0, 1000) == make_rng(7).integers(0, 1000)
-
     def test_derive_rng_streams_differ(self):
         a = derive_rng(7, "x").integers(0, 10**9)
         b = derive_rng(7, "y").integers(0, 10**9)

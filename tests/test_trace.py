@@ -93,15 +93,6 @@ class TestFiltering:
     def test_sources(self):
         assert make_trace().sources() == {"a": 2, "b": 2}
 
-    def test_filter_source(self):
-        filtered = make_trace().filter_source("a")
-        assert len(filtered) == 2
-        assert all(r.source == "a" for r in filtered)
-
-    def test_slice_time_half_open(self):
-        sliced = make_trace().slice_time(0.5, 2.0)
-        assert [r.time for r in sliced] == [0.5, 1.0]
-
 
 class TestPersistence:
     def test_roundtrip(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Unit-conversion helpers."""
+"""Unit constants."""
 
 import pytest
 
@@ -6,9 +6,6 @@ from repro import units
 
 
 class TestTimeConstants:
-    def test_nanosecond_roundtrip(self):
-        assert units.ns_to_seconds(units.seconds_to_ns(1.5)) == pytest.approx(1.5)
-
     def test_ns_value(self):
         assert units.NS == pytest.approx(1e-9)
 
@@ -19,47 +16,3 @@ class TestTimeConstants:
 class TestSizeHelpers:
     def test_block_size_is_4k(self):
         assert units.BLOCK_SIZE == 4096
-
-    def test_bytes_to_blocks_exact(self):
-        assert units.bytes_to_blocks(8192) == 2
-
-    def test_bytes_to_blocks_rounds_up(self):
-        assert units.bytes_to_blocks(4097) == 2
-
-    def test_bytes_to_blocks_zero(self):
-        assert units.bytes_to_blocks(0) == 0
-
-    def test_bytes_to_blocks_rejects_negative(self):
-        with pytest.raises(ValueError):
-            units.bytes_to_blocks(-1)
-
-    def test_format_size_mb(self):
-        assert units.format_size(40.03 * units.MIB) == "40.03 MB"
-
-    def test_format_size_bytes(self):
-        assert units.format_size(12) == "12 B"
-
-    def test_format_size_gb(self):
-        assert units.format_size(2 * units.GIB) == "2.00 GB"
-
-    def test_format_size_rejects_negative(self):
-        with pytest.raises(ValueError):
-            units.format_size(-1)
-
-
-class TestFormatDuration:
-    def test_nanoseconds(self):
-        assert units.format_duration(147e-9) == "147 ns"
-
-    def test_microseconds(self):
-        assert units.format_duration(50e-6) == "50.00 us"
-
-    def test_milliseconds(self):
-        assert units.format_duration(0.004) == "4.00 ms"
-
-    def test_seconds(self):
-        assert units.format_duration(1.5) == "1.50 s"
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            units.format_duration(-0.1)
