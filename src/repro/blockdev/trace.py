@@ -28,13 +28,6 @@ class TraceStats:
     duration: float
     unique_lbas: int
 
-    @property
-    def write_fraction(self) -> float:
-        """Fraction of requests that are writes."""
-        if self.num_requests == 0:
-            return 0.0
-        return self.num_writes / self.num_requests
-
 
 class Trace:
     """An append-only, time-ordered sequence of :class:`IORequest`.

@@ -98,16 +98,6 @@ class LogisticDetector:
         """Verdicts for many rows."""
         return [self.predict_one(row) for row in rows]
 
-    def accuracy(self, rows: Sequence[Sequence[float]],
-                 labels: Sequence[int]) -> float:
-        """Fraction classified correctly."""
-        predictions = self.predict(rows)
-        if not predictions:
-            return 1.0
-        return sum(
-            1 for p, t in zip(predictions, labels) if p == int(t)
-        ) / len(predictions)
-
     # -- footprint ---------------------------------------------------------
 
     def parameter_count(self) -> int:

@@ -42,8 +42,3 @@ class DetectorConfig:
             )
         if self.max_tree_depth < 1:
             raise ConfigError(f"max_tree_depth must be >= 1, got {self.max_tree_depth}")
-
-    @property
-    def window_duration(self) -> float:
-        """Window length in seconds (slice duration x N)."""
-        return self.slice_duration * self.window_slices

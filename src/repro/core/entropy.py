@@ -75,13 +75,6 @@ class SliceEntropy:
             return 0.0
         return self.entropy_sum / self.writes_seen
 
-    @property
-    def ciphertext_fraction(self) -> float:
-        """Share of writes whose sample looked like ciphertext."""
-        if self.writes_seen == 0:
-            return 0.0
-        return self.ciphertext_writes / self.writes_seen
-
 
 class EntropyTracker:
     """Accumulates per-slice write-payload entropy."""

@@ -341,14 +341,6 @@ class DecisionTree:
         """Classify many feature vectors."""
         return [self.predict_one(row) for row in rows]
 
-    def accuracy(self, rows: Sequence[Sequence[float]], labels: Sequence[int]) -> float:
-        """Fraction of rows classified correctly."""
-        predictions = self.predict(rows)
-        if not predictions:
-            return 1.0
-        hits = sum(1 for p, t in zip(predictions, labels) if p == int(t))
-        return hits / len(predictions)
-
     # -- introspection / persistence ------------------------------------
 
     def depth(self) -> int:

@@ -116,25 +116,13 @@ class SlidingWindow:
             return 0
         return self._owio_sum - self._slices[-1].owio
 
-    def owio_window(self) -> int:
-        """Sum of OWIO over the whole window (including the latest slice)."""
-        return self._owio_sum
-
     def wio_window(self) -> int:
         """Total written blocks over the window."""
         return self._wio_sum
 
-    def rio_window(self) -> int:
-        """Total read blocks over the window."""
-        return self._rio_sum
-
     def unique_overwritten(self) -> int:
         """Distinct LBAs overwritten anywhere in the window (OWST numerator)."""
         return len(self._ow_refcounts)
-
-    def oldest_index(self) -> Optional[int]:
-        """Slice index of the oldest slice still in the window."""
-        return self._slices[0].index if self._slices else None
 
     def snapshot(self) -> list:
         """JSON-ready per-slice counters, oldest first (incident bundles).

@@ -9,7 +9,7 @@ and comparisons per inference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.report import render_table
 from repro.core.baselines import LogisticDetector, ThresholdDetector

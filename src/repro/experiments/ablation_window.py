@@ -10,7 +10,7 @@ false alarms but delay (or miss) detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.analysis.report import render_table
 from repro.core.config import DetectorConfig

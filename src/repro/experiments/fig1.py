@@ -9,7 +9,7 @@ data wiping, with Jaff/CryptoShield near the cloud-storage/P2P range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.analysis.correlation import CorrelationResult, feature_activity_correlation
 from repro.analysis.cumulative import cumulative_feature_series

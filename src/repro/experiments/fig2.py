@@ -8,7 +8,7 @@ separation for the accumulable features (2b/2d/2f pattern).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.analysis.correlation import feature_activity_correlation
 from repro.analysis.cumulative import CUMULATIVE_FEATURES, cumulative_feature_series

@@ -11,11 +11,11 @@ rate), so the per-trace bars vary with workload just as the figure's do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.analysis.report import render_table
 from repro.rand import derive_seed
-from repro.ssd.timing import LatencyModel, TraceProfile, profile_trace
+from repro.ssd.timing import LatencyModel, profile_trace
 from repro.workloads.catalog import testing_scenarios
 
 

@@ -20,7 +20,6 @@ from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
 from repro.rand import derive_seed
 from repro.workloads.catalog import testing_scenarios
-from repro.workloads.scenario import Scenario
 
 
 @dataclass

@@ -11,7 +11,7 @@ time).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.report import render_table
 from repro.core.config import DetectorConfig

@@ -11,6 +11,7 @@ this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,5 +77,7 @@ class FaultConfig:
             raise ConfigError("transient_max_retries must be >= 1")
         if self.factory_bad_blocks < 0:
             raise ConfigError("factory_bad_blocks must be >= 0")
-        if self.power_loss_at is not None and self.power_loss_at < 0:
-            raise ConfigError("power_loss_at must be >= 0")
+        at = self.power_loss_at
+        if at is not None and not 0 <= at < math.inf:  # also false for NaN
+            raise ConfigError(
+                f"power_loss_at must be finite and >= 0, got {at}")

@@ -148,8 +148,3 @@ class FaultInjector:
         self._power_loss_fired = True
         self.stats.power_losses += 1
         return True
-
-    @property
-    def power_loss_pending(self) -> bool:
-        """True while a configured power loss has not yet fired."""
-        return self.config.power_loss_at is not None and not self._power_loss_fired

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 

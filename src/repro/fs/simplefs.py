@@ -10,7 +10,7 @@ power loss 10 seconds in the past, §III-C).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import (
     FileNotFoundFsError,

@@ -37,11 +37,6 @@ class BlockAllocator:
         return len(self._free)
 
     @property
-    def host_active(self) -> Optional[int]:
-        """Global index of the block currently receiving host writes."""
-        return self._host_active
-
-    @property
     def gc_active(self) -> Optional[int]:
         """Global index of the block currently receiving GC relocations."""
         return self._gc_active

@@ -83,9 +83,6 @@ class PageMappedFTL:
         self.stats = FtlStats()
         self.probe = probe
         self._last_timestamp = 0.0
-        #: Optional static wear leveler (attach_wear_leveling()); checked
-        #: after each GC round.
-        self.wear_leveler = None
         #: Blocks currently mid-retirement (re-entrancy guard: a program
         #: failure during retirement relocation retires the *new* block,
         #: never loops back into one already being drained).
@@ -372,16 +369,7 @@ class PageMappedFTL:
                 break
             self._relocate_and_erase(victim)
             erased += 1
-        if erased and self.wear_leveler is not None:
-            self.wear_leveler.maybe_level(self)
         return erased
-
-    def attach_wear_leveling(self, config=None):
-        """Enable static wear leveling; returns the leveler for inspection."""
-        from repro.ftl.wearlevel import StaticWearLeveler
-
-        self.wear_leveler = StaticWearLeveler(config)
-        return self.wear_leveler
 
     def _can_complete(self, victim: int) -> bool:
         """True when relocating ``victim`` cannot strand the allocator.

@@ -15,7 +15,7 @@ Differences from the conventional FTL (all from §III-C of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 from repro.ftl.base import PageMappedFTL
 from repro.ftl.gc import GcPolicy
@@ -36,11 +36,6 @@ class RollbackReport:
     lbas_unmapped: int
     mapping_updates: int
     restored_lbas: Set[int] = field(default_factory=set)
-
-    @property
-    def touched_lbas(self) -> int:
-        """Distinct LBAs whose mapping changed."""
-        return self.lbas_restored + self.lbas_unmapped
 
 
 class InsiderFTL(PageMappedFTL):

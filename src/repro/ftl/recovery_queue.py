@@ -28,6 +28,7 @@ way the detector's ``CountingTable`` is:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import count, repeat
 from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -89,8 +90,9 @@ class RecoveryQueue:
     EMPTY: Tuple[BackupEntry, ...] = _EMPTY
 
     def __init__(self, retention: float = 10.0, capacity: Optional[int] = None) -> None:
-        if retention <= 0:
-            raise ConfigError(f"retention must be positive, got {retention}")
+        if not 0 < retention < math.inf:  # also false for NaN
+            raise ConfigError(
+                f"retention must be positive and finite, got {retention}")
         if capacity is not None and capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {capacity}")
         self.retention = retention

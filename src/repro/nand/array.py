@@ -136,11 +136,6 @@ class NandArray:
             )
         return self._blocks[global_block]
 
-    def block_ppa_range(self, global_block: int) -> range:
-        """The flat PPAs covered by a global block index."""
-        start = global_block * self.geometry.pages_per_block
-        return range(start, start + self.geometry.pages_per_block)
-
     def _check_ppa(self, ppa: int) -> None:
         """Reject a PPA outside the array."""
         if not 0 <= ppa < self._pages_total:
@@ -248,7 +243,7 @@ class NandArray:
     def read(self, ppa: int) -> None:
         """Read a programmed page by flat PPA (charged, nothing returned).
 
-        Counts the chip read, the block's read disturb and the latency;
+        Counts the chip read and the latency;
         the page's contents are in :attr:`lbas`, :attr:`written_at` and
         :attr:`payloads` at index ``ppa``.  With a fault injector
         attached, the read may come back with raw bit errors; the ECC
@@ -265,7 +260,6 @@ class NandArray:
         if self.states[ppa] is _FREE:
             raise ReadError(f"PPA {ppa} has not been programmed")
         global_block = ppa // self._pages_per_block
-        self._blocks[global_block].reads_since_erase += 1
         self._chips[global_block // self._blocks_per_chip].counters.reads += 1
         latency = self.latencies.page_read
         self.busy_time += latency
@@ -279,8 +273,8 @@ class NandArray:
         """Run the ECC retry loop for one faulty read.
 
         In-line-correctable faults cost nothing extra; transient faults
-        re-read the page (each retry is a real chip read — it counts
-        against read disturb too) with latency backoff; hard faults and
+        re-read the page (each retry is a real chip read, counted
+        on the chip) with latency backoff; hard faults and
         transients needing more retries than the budget allows end in
         :class:`~repro.errors.UncorrectableReadError`.
         """
@@ -289,10 +283,8 @@ class NandArray:
             return
         budget = self.ecc.max_read_retries
         retries = budget if fault.hard else min(fault.retries_needed, budget)
-        block = self._blocks[global_block]
         counters = self._chips[global_block // self._blocks_per_chip].counters
         for attempt in range(1, retries + 1):
-            block.reads_since_erase += 1
             counters.reads += 1
             retry_cost = self.latencies.read_retry(
                 attempt, self.ecc.retry_backoff
@@ -419,7 +411,6 @@ class NandArray:
             self.payloads[start:stop] = [None] * count
             block.write_pointer = 0
             block.erase_count += 1
-            block.reads_since_erase = 0
             counters.erases += 1
         else:
             # Failed erases go in one ledger, so SMART sees one
@@ -434,14 +425,6 @@ class NandArray:
             raise EraseError(failure)
 
     # -- accounting -------------------------------------------------------
-
-    def count_pages(self, state: PageState) -> int:
-        """Count pages in a given state across the whole array."""
-        return self.states.count(state)
-
-    def total_erases(self) -> int:
-        """Total block erases performed so far."""
-        return sum(chip.counters.erases for chip in self._chips)
 
     def erase_counts(self) -> List[int]:
         """Per-block erase counts (the wear profile)."""

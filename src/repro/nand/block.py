@@ -37,7 +37,7 @@ class Block:
     """One erase block's counters: a write pointer over ``num_pages`` pages."""
 
     __slots__ = ("num_pages", "write_pointer", "valid_count", "erase_count",
-                 "is_bad", "fail_next_erase", "reads_since_erase")
+                 "is_bad", "fail_next_erase")
 
     def __init__(self, num_pages: int) -> None:
         self.num_pages = num_pages
@@ -49,21 +49,11 @@ class Block:
         #: Fault injection: the next erase attempt fails and marks the block
         #: bad (how real blocks die — erase/program verify errors).
         self.fail_next_erase = False
-        #: Reads served since the last erase.  NAND cells leak charge under
-        #: repeated reads of neighbouring pages (read disturb); firmware
-        #: must rewrite ("scrub") a block before the count crosses the
-        #: chip's tolerated limit.
-        self.reads_since_erase = 0
 
     @property
     def is_full(self) -> bool:
         """True when every page has been programmed since the last erase."""
         return self.write_pointer >= self.num_pages
-
-    @property
-    def is_empty(self) -> bool:
-        """True when the block is fully erased (nothing programmed)."""
-        return self.write_pointer == 0
 
     @property
     def free_pages(self) -> int:

@@ -89,10 +89,6 @@ class NandGeometry:
         chip = block_global // self.blocks_per_chip
         return chip, block, page
 
-    def chip_of(self, ppa: int) -> int:
-        """Chip index containing a PPA."""
-        return self.decompose(ppa)[0]
-
     def block_of(self, ppa: int) -> int:
         """Global block index (across all chips) containing a PPA."""
         if not (0 <= ppa < self.pages_total):

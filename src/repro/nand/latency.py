@@ -29,10 +29,6 @@ class NandLatencies:
             if value <= 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
 
-    def copy_page(self) -> float:
-        """Latency of one GC page copy (read + program)."""
-        return self.page_read + self.page_program
-
     def read_retry(self, attempt: int, backoff: float = 2.0) -> float:
         """Latency of ECC read-retry ``attempt`` (1-based) with ``backoff``.
 

@@ -271,10 +271,6 @@ class Gauge(MetricFamily):
         key = self._key(labels)
         self._series[key] = self._series.get(key, 0.0) + amount  # type: ignore[operator]
 
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        """Subtract ``amount`` from the labeled series."""
-        self.inc(-amount, **labels)
-
     def value(self, **labels: object) -> float:
         """Current value of the labeled series (0 if never set)."""
         return float(self._series.get(self._key(labels), 0.0))  # type: ignore[arg-type]

@@ -40,19 +40,10 @@ the same contract the flight recorder and profiler already honour.
 from __future__ import annotations
 
 from time import time as wall_time
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import EventTracer, TraceEvent
+from repro.obs.tracer import EventTracer
 
 #: Schema stamped into the collector's JSON snapshot documents.
 FLEETTOP_SCHEMA = "ssd-insider.fleettop/v1"

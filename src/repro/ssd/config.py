@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -9,8 +10,6 @@ from repro.core.config import DetectorConfig
 from repro.errors import ConfigError
 from repro.faults.config import FaultConfig
 from repro.ftl.gc import GcPolicy
-from repro.ftl.scrub import ScrubConfig
-from repro.ftl.wearlevel import WearLevelConfig
 from repro.nand.ecc import EccConfig
 from repro.nand.geometry import NandGeometry
 from repro.nand.latency import NandLatencies
@@ -44,12 +43,6 @@ class SSDConfig:
     detector_enabled: bool = True
     retention: float = 10.0
     queue_capacity: Optional[int] = None
-    #: Enable static wear leveling (None = off).
-    wear_level: Optional["WearLevelConfig"] = None
-    #: Enable read-disturb scrubbing (None = off).
-    scrub: Optional["ScrubConfig"] = None
-    #: Seconds between background maintenance sweeps (scrub checks).
-    maintenance_interval: float = 5.0
     #: Enable deterministic media-fault injection (None = off; the
     #: default device takes exactly the pre-fault code paths).
     faults: Optional["FaultConfig"] = None
@@ -58,10 +51,9 @@ class SSDConfig:
     ecc: EccConfig = field(default_factory=EccConfig)
 
     def __post_init__(self) -> None:
-        if self.retention <= 0:
-            raise ConfigError(f"retention must be positive, got {self.retention}")
-        if self.maintenance_interval <= 0:
-            raise ConfigError("maintenance_interval must be positive")
+        if not 0 < self.retention < math.inf:  # also false for NaN
+            raise ConfigError(
+                f"retention must be positive and finite, got {self.retention}")
 
     @classmethod
     def small(cls, **overrides) -> "SSDConfig":

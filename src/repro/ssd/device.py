@@ -117,7 +117,6 @@ class SimulatedSSD:
         self.degraded = False
         self.stats = DeviceStats()
         self.rollback_reports: List[RollbackReport] = []
-        self._last_maintenance = 0.0
         self.probe.attach(self)
 
     # -- capacity ----------------------------------------------------------
@@ -211,26 +210,13 @@ class SimulatedSSD:
         self.ftl.trim(lba, timestamp)
 
     def tick(self, now: float) -> None:
-        """Advance time without I/O (lets quiet periods decay the score).
-
-        Background maintenance (read-disturb scrubbing) also runs here —
-        idle time is when firmware does its housekeeping.
-        """
+        """Advance time without I/O (lets quiet periods decay the score)."""
         self.clock.advance_to(now)
         if self.fault_injector is not None:
             self._maybe_power_loss()
         self.probe.idle(self)
         if self.detector is not None:
             self.detector.tick(now)
-        self._maybe_maintain()
-
-    def _maybe_maintain(self) -> None:
-        now = self.clock.now
-        if now - self._last_maintenance < self.config.maintenance_interval:
-            return
-        self._last_maintenance = now
-        if self.scrubber is not None and not self.read_only:
-            self.scrubber.sweep()
 
     # -- alarm & recovery ---------------------------------------------------
 
@@ -305,7 +291,7 @@ class SimulatedSSD:
     # -- internals -----------------------------------------------------------
 
     def _boot(self, build: Callable[..., InsiderFTL]) -> None:
-        """Build the FTL (fresh, or rebuilt from NAND) and its maintenance."""
+        """Build the FTL (fresh, or rebuilt from NAND)."""
         config = self.config
         self.ftl = build(
             self.nand,
@@ -315,15 +301,6 @@ class SimulatedSSD:
             queue_capacity=config.queue_capacity,
             probe=self.probe,
         )
-        self.wear_leveler = None
-        if config.wear_level is not None:
-            self.wear_leveler = self.ftl.attach_wear_leveling(
-                config.wear_level)
-        self.scrubber = None
-        if config.scrub is not None:
-            from repro.ftl.scrub import ReadScrubber
-
-            self.scrubber = ReadScrubber(self.ftl, config.scrub)
 
     def _check_span(self, lba: int, length: int) -> None:
         """Reject a request reaching outside the logical space.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import DeviceError
 from repro.ssd.device import SimulatedSSD

@@ -45,14 +45,6 @@ class ThroughputReport:
             return 0.0
         return self.blocks_written * BLOCK_SIZE / MIB / self.service_time_s
 
-    @property
-    def total_mib_per_s(self) -> float:
-        """Achieved combined bandwidth."""
-        if self.service_time_s <= 0:
-            return 0.0
-        blocks = self.blocks_read + self.blocks_written
-        return blocks * BLOCK_SIZE / MIB / self.service_time_s
-
 
 def simulate_throughput(
     trace: Trace,

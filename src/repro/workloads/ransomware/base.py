@@ -10,7 +10,7 @@ ransom.  What varies per sample is where the ciphertext lands
 from __future__ import annotations
 
 import enum
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.blockdev.request import IOMode, IORequest
 from repro.errors import WorkloadError

@@ -21,7 +21,7 @@ pipeline is self-consistent end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import WorkloadError
 from repro.workloads.base import LbaRegion

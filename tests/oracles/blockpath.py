@@ -9,11 +9,10 @@ entry.  The production path now moves one *run* of blocks per call
 ``RecoveryQueue.log_run``).  This module keeps the per-block loop, built
 from the same single-page NAND and single-entry queue primitives, so the
 equivalence tests can require both paths to leave identical state behind.
-Likewise GC, block retirement, wear levelling and scrubbing used to
-relocate one page per NAND program, remapping each copy around verify
-failures on its own; :meth:`BlockPathFTL._relocate` keeps that loop to
-check ``PageMappedFTL._relocate``, which programs one chunk per target
-block.
+Likewise GC and block retirement used to relocate one page per NAND
+program, remapping each copy around verify failures on its own;
+:meth:`BlockPathFTL._relocate` keeps that loop to check
+``PageMappedFTL._relocate``, which programs one chunk per target block.
 
 Use :class:`BlockPathSSD` in place of
 :class:`~repro.ssd.device.SimulatedSSD`; its FTL (also after a power
@@ -37,6 +36,7 @@ from repro.errors import (
 from repro.ftl.insider import InsiderFTL
 from repro.nand.block import PageInfo, PageState
 from repro.ssd.device import SimulatedSSD
+from tests.oracles.victim import block_ppas
 
 
 class BlockPathFTL(InsiderFTL):
@@ -105,7 +105,7 @@ class BlockPathFTL(InsiderFTL):
         """Relocate ``victim``'s survivors one page program at a time."""
         states = self.nand.states
         moved = 0
-        for ppa in self.nand.block_ppa_range(victim):
+        for ppa in block_ppas(self.nand, victim):
             state = states[ppa]
             if state is PageState.VALID:
                 self._copy_valid_page(ppa)

@@ -184,17 +184,9 @@ class NaiveSlidingWindow:
             return 0
         return sum(s.owio for s in self._slices[:-1])
 
-    def owio_window(self) -> int:
-        """Total overwrites across the window (re-summed)."""
-        return sum(s.owio for s in self._slices)
-
     def wio_window(self) -> int:
         """Total writes across the window (re-summed)."""
         return sum(s.wio for s in self._slices)
-
-    def rio_window(self) -> int:
-        """Total reads across the window (re-summed)."""
-        return sum(s.rio for s in self._slices)
 
     def unique_overwritten(self) -> int:
         """OWST numerator: distinct overwritten LBAs (re-unioned)."""
@@ -202,10 +194,6 @@ class NaiveSlidingWindow:
         for stats in self._slices:
             union |= stats.overwritten_lbas
         return len(union)
-
-    def oldest_index(self) -> Optional[int]:
-        """Slice index of the oldest slice still in the window."""
-        return self._slices[0].index if self._slices else None
 
 
 def naive_features(table, window) -> FeatureVector:

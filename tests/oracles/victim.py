@@ -50,11 +50,17 @@ def select_victim(
     return best_block
 
 
+def block_ppas(nand: NandArray, global_block: int) -> range:
+    """The flat PPAs of one erase block."""
+    start = global_block * nand.geometry.pages_per_block
+    return range(start, start + nand.geometry.pages_per_block)
+
+
 def _count_pinned(
     nand: NandArray, global_block: int, is_pinned: Callable[[int], bool]
 ) -> int:
     count = 0
-    for ppa in nand.block_ppa_range(global_block):
+    for ppa in block_ppas(nand, global_block):
         if nand.states[ppa] is PageState.INVALID and is_pinned(ppa):
             count += 1
     return count

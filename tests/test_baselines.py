@@ -22,7 +22,8 @@ class TestLogisticDetector:
     def test_learns_separable_problem(self):
         X, y = separable_data()
         model = LogisticDetector(feature_names=NAMES).fit(X, y)
-        assert model.accuracy(X, y) > 0.97
+        hits = sum(p == t for p, t in zip(model.predict(X), y))
+        assert hits / len(y) > 0.97
 
     def test_probabilities_ordered(self):
         X, y = separable_data()

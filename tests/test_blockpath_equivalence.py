@@ -140,7 +140,7 @@ def _snapshot(device):
                            ftl.queue.depth_peak),
         "blocks": [
             (block.write_pointer, block.valid_count, block.erase_count,
-             block.is_bad, block.reads_since_erase)
+             block.is_bad)
             for block in (nand.block(index)
                           for index in range(nand.num_blocks))
         ],
@@ -213,7 +213,7 @@ def _ftl_state(ftl):
                        for index in range(ftl.nand.num_blocks))],
         ftl.nand.states,
         ftl.allocator.free_blocks,
-        ftl.allocator.host_active,
+        ftl.allocator._host_active,
     )
 
 
@@ -230,7 +230,7 @@ def test_span_crossing_into_the_gc_trigger_matches_the_loop():
     # trigger, then stop two pages short of the open block's end.
     while not (span_ftl.allocator.free_blocks == trigger + 1
                and span_ftl.nand.block(
-                   span_ftl.allocator.host_active).free_pages == 2):
+                   span_ftl.allocator._host_active).free_pages == 2):
         for ftl in (span_ftl, loop_ftl):
             ftl.write_span(lba, 1, timestamp)
         lba = (lba + 3) % num_lbas

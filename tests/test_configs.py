@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import DetectorConfig
 from repro.errors import ConfigError
 from repro.ftl.gc import GcPolicy
+from repro.ftl.recovery_queue import RecoveryQueue
 from repro.ftl.victim import VictimPolicy
 from repro.ssd.config import SSDConfig
 
@@ -15,7 +16,6 @@ class TestDetectorConfig:
         assert config.slice_duration == 1.0
         assert config.window_slices == 10
         assert config.threshold == 3
-        assert config.window_duration == 10.0
 
     def test_rejects_bad_slice(self):
         with pytest.raises(ConfigError):
@@ -69,6 +69,15 @@ class TestSSDConfig:
     def test_rejects_bad_retention(self):
         with pytest.raises(ConfigError):
             SSDConfig(retention=0.0)
+
+    @pytest.mark.parametrize("retention", [float("nan"), float("inf")])
+    def test_rejects_non_finite_retention(self, retention):
+        # A NaN window never expires an entry: every write stays queued
+        # and pinned, and each expire() takes its slow path.
+        with pytest.raises(ConfigError):
+            SSDConfig.tiny(retention=retention)
+        with pytest.raises(ConfigError):
+            RecoveryQueue(retention=retention)
 
     def test_tiny_raises_op_for_gc_headroom(self):
         assert SSDConfig.tiny().op_ratio == pytest.approx(0.45)

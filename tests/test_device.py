@@ -199,7 +199,7 @@ class TestOutOfRangeRejected:
             with pytest.raises(AddressError):
                 call()
         assert self.snapshot(ssd) == before
-        valid = ssd.nand.count_pages(PageState.VALID)
+        valid = ssd.nand.states.count(PageState.VALID)
         assert valid == ssd.ftl.mapping.mapped_count() == 8
         # The next valid write is logged at its own time, not at the
         # rejected requests' (the retention window rollback relies on).

@@ -16,8 +16,6 @@ from repro.faults.config import FaultConfig
 from repro.fleet.orchestrator import run_fleet
 from repro.fleet.plan import FleetPlan
 from repro.fleet.worker import build_device
-from repro.ftl.scrub import ScrubConfig
-from repro.ftl.wearlevel import WearLevelConfig
 from repro.obs import Observability
 from repro.obs.flightrec import FlightRecorder
 from repro.ssd.config import SSDConfig
@@ -47,7 +45,7 @@ def churn(device, span: int, writes: int = 1_500) -> None:
     """Overwrites and reads enough to run GC on a tiny array.
 
     A detector alarm is dismissed so the writes keep landing; an idle
-    tick at the end runs background maintenance.
+    tick ends the run.
     """
     now = 0.0
     for step in range(writes):
@@ -94,10 +92,6 @@ CONFIGS = {
     "small": churned(SSDConfig.small(), span=2_000),
     "faults": churned(SSDConfig.tiny(faults=FaultConfig(
         seed=3, program_fail_rate=0.002, read_fault_rate=0.01))),
-    "wear_level": churned(SSDConfig.tiny(wear_level=WearLevelConfig(
-        spread_threshold=2, check_every_erases=1))),
-    "scrub": churned(SSDConfig.tiny(scrub=ScrubConfig(read_limit=20),
-                                    maintenance_interval=0.5)),
     "recovered": recovered,
     "power_cycled": power_cycled,
     "fleet": fleet_device,

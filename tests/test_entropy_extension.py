@@ -63,13 +63,13 @@ class TestEntropyTracker:
         tracker.close_slice()
         assert tracker.close_slice().writes_seen == 0
 
-    def test_ciphertext_fraction(self):
+    def test_counts_ciphertext_writes(self):
         tracker = EntropyTracker()
         tracker.observe_write(CIPHERTEXT)
         tracker.observe_write(PLAINTEXT)
         tracker.observe_write(bytes(512))
         closed = tracker.close_slice()
-        assert closed.ciphertext_fraction == pytest.approx(1 / 3)
+        assert (closed.ciphertext_writes, closed.writes_seen) == (1, 3)
 
 
 class TestHybridDetector:

@@ -201,5 +201,5 @@ class TestWriteSpanEquivalence:
         # and the rejected block programmed nothing.
         assert span_ftl.stats.host_writes == loop_ftl.stats.host_writes == 2
         for ftl in (span_ftl, loop_ftl):
-            valid = ftl.nand.count_pages(PageState.VALID)
+            valid = ftl.nand.states.count(PageState.VALID)
             assert valid == ftl.mapping.mapped_count() == 2

@@ -25,7 +25,7 @@ class TestAllocation:
 
     def test_host_block_opens_one(self, allocator, nand):
         block = allocator.host_block()
-        assert allocator.host_active == block
+        assert allocator.host_block() == block
         assert allocator.free_blocks == nand.num_blocks - 1
         assert allocator.is_active(block)
 
@@ -64,7 +64,7 @@ class TestRelease:
     def test_release_clears_active_role(self, allocator):
         block = allocator.host_block()
         allocator.release(block)
-        assert allocator.host_active is None
+        assert not allocator.is_active(block)
 
     def test_double_release_is_idempotent(self, allocator, nand):
         block = allocator.host_block()

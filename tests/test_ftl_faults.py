@@ -10,6 +10,7 @@ from repro.ftl.insider import InsiderFTL
 from repro.nand.array import NandArray
 from repro.nand.block import PageState
 from repro.nand.geometry import NandGeometry
+from tests.oracles.victim import block_ppas
 
 
 GEOMETRY = NandGeometry(channels=1, ways=1, blocks_per_chip=12,
@@ -55,7 +56,7 @@ class TestProgramFailRemap:
             if ftl.nand.block(block).is_bad:
                 failed_block = block
         assert failed_block is not None
-        assert ppa not in ftl.nand.block_ppa_range(failed_block)
+        assert ftl.nand.geometry.block_of(ppa) != failed_block
 
     def test_retirement_relocates_valid_neighbours(self):
         """Pages already living in the failing block move out intact."""
@@ -121,7 +122,7 @@ class TestInsiderRetirement:
         # Retire two blocks that hold pinned pages.
         retired = 0
         for block in range(ftl.nand.num_blocks):
-            ppas = ftl.nand.block_ppa_range(block)
+            ppas = block_ppas(ftl.nand, block)
             if any(ftl.queue.is_pinned(ppa) for ppa in ppas):
                 ftl._retire_block(block)
                 retired += 1
@@ -180,7 +181,7 @@ class TestRelocationRetries:
         assert ftl.stats.program_fails == 6
         assert ftl.stats.bad_blocks == 6
         assert ftl.stats.retirement_copies == 4 * 2
-        victim_ppas = ftl.nand.block_ppa_range(victim)
+        victim_ppas = block_ppas(ftl.nand, victim)
         # The landed copies are committed: the live one is mapped, the
         # old version's pin followed it.
         assert ftl.mapping.lookup(1) not in victim_ppas
@@ -214,5 +215,5 @@ class TestFactoryMapOut:
         for block in bad:
             assert all(
                 ftl.nand.page_state(ppa) is PageState.FREE
-                for ppa in ftl.nand.block_ppa_range(block)
+                for ppa in block_ppas(ftl.nand, block)
             )

@@ -144,7 +144,6 @@ class TestRollback:
         assert report.entries_scanned == 3  # the t=0 entry expired
         assert report.lbas_unmapped == 1
         assert report.lbas_restored == 1
-        assert report.touched_lbas == 2
 
 
 class TestPinnedGc:

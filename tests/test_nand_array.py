@@ -15,10 +15,6 @@ class TestLatencies:
         assert lat.page_read == pytest.approx(50e-6)
         assert lat.page_program == pytest.approx(500e-6)
 
-    def test_copy_page_is_read_plus_program(self):
-        lat = NandLatencies()
-        assert lat.copy_page() == pytest.approx(lat.page_read + lat.page_program)
-
     def test_rejects_nonpositive(self):
         from repro.errors import ConfigError
 
@@ -43,7 +39,7 @@ class TestArrayOperations:
         assert info.lba == 42
         assert info.payload == b"data"
         # A snapshot is not a device read.
-        assert tiny_nand.block(0).reads_since_erase == 1
+        assert tiny_nand.chip(0).counters.reads == 1
 
     def test_invalidate_and_state(self, tiny_nand):
         ppa = tiny_nand.program(0, 1, 0.0)
@@ -57,21 +53,16 @@ class TestArrayOperations:
         tiny_nand.erase(0)
         assert tiny_nand.page_state(ppa) is PageState.FREE
 
-    def test_block_ppa_range(self, tiny_nand):
-        rng = tiny_nand.block_ppa_range(1)
-        ppb = tiny_nand.geometry.pages_per_block
-        assert rng.start == ppb and rng.stop == 2 * ppb
-
 
 class TestAccounting:
     def test_count_pages_by_state(self, tiny_nand):
         tiny_nand.program(0, 1, 0.0)
         ppa = tiny_nand.program(0, 2, 0.0)
         tiny_nand.invalidate(ppa)
-        assert tiny_nand.count_pages(PageState.VALID) == 1
-        assert tiny_nand.count_pages(PageState.INVALID) == 1
+        assert tiny_nand.states.count(PageState.VALID) == 1
+        assert tiny_nand.states.count(PageState.INVALID) == 1
         assert (
-            tiny_nand.count_pages(PageState.FREE)
+            tiny_nand.states.count(PageState.FREE)
             == tiny_nand.geometry.pages_total - 2
         )
 
@@ -89,14 +80,14 @@ class TestAccounting:
         tiny_nand.invalidate(ppa)
         tiny_nand.erase(0)
         assert tiny_nand.total_programs() == 1
-        assert tiny_nand.total_erases() == 1
+        assert tiny_nand.block(0).erase_count == 1
 
     def test_multichip_program(self):
         nand = NandArray(NandGeometry(channels=2, ways=1, blocks_per_chip=2,
                                       pages_per_block=4))
         # Block 2 lives on chip 1.
         ppa = nand.program(2, 5, 0.0)
-        assert nand.geometry.chip_of(ppa) == 1
+        assert nand.geometry.decompose(ppa)[0] == 1
 
 
 class TestAddressBounds:
@@ -117,8 +108,8 @@ class TestAddressBounds:
             tiny_nand.erase(global_block)
         # Nothing was programmed or erased anywhere.
         assert tiny_nand.total_programs() == 0
-        assert tiny_nand.total_erases() == 0
-        assert tiny_nand.count_pages(PageState.FREE) == (
+        assert sum(tiny_nand.erase_counts()) == 0
+        assert tiny_nand.states.count(PageState.FREE) == (
             tiny_nand.geometry.pages_total)
 
     @pytest.mark.parametrize("ppa", [-1, -32, 256, 10_000])
@@ -135,4 +126,5 @@ class TestAddressBounds:
         # The last block, where a negative PPA used to land, is untouched.
         assert tiny_nand.block(last).valid_count == (
             tiny_nand.geometry.pages_per_block)
-        assert tiny_nand.block(last).reads_since_erase == 0
+        assert all(tiny_nand.chip(chip).counters.reads == 0
+                   for chip in range(tiny_nand.geometry.num_chips))

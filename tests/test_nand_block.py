@@ -91,7 +91,7 @@ class TestReadRules:
         nand.program(0, 7, 0.0, payload=b"old")
         nand.invalidate(0)
         nand.read(0)
-        assert nand.block(0).reads_since_erase == 1
+        assert nand.chip(0).counters.reads == 1
         assert nand.page(0).payload == b"old"
 
 
@@ -165,7 +165,7 @@ class TestErase:
         nand.program(0, 0, 0.0, payload=b"x")
         nand.invalidate(0)
         nand.erase(0)
-        assert nand.block(0).is_empty
+        assert nand.block(0).write_pointer == 0
         assert nand.block(0).erase_count == 1
         assert tuple(nand.page(0)) == (PageState.FREE, None, 0.0, None)
 

@@ -56,10 +56,6 @@ class TestPpaAddressing:
         assert g.block_of(0) == 0
         assert g.block_of(g.pages_per_block) == 1
 
-    def test_chip_of(self):
-        g = NandGeometry.small()
-        assert g.chip_of(g.pages_per_chip + 1) == 1
-
     def test_out_of_range_ppa(self):
         g = NandGeometry.tiny()
         with pytest.raises(ConfigError):

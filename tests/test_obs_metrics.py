@@ -53,12 +53,12 @@ class TestGauge:
         gauge = Gauge("depth")
         gauge.set(10)
         gauge.inc(5)
-        gauge.dec(3)
+        gauge.inc(-3)
         assert gauge.value() == 12
 
     def test_gauge_may_go_negative(self):
         gauge = Gauge("delta")
-        gauge.dec(4)
+        gauge.inc(-4)
         assert gauge.value() == -4
 
 

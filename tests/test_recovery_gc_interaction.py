@@ -19,6 +19,7 @@ import pytest
 from repro.ftl.insider import InsiderFTL
 from repro.nand.array import NandArray
 from repro.nand.geometry import NandGeometry
+from tests.oracles.victim import block_ppas
 
 
 PAGES_PER_BLOCK = 8
@@ -120,7 +121,7 @@ class TestRetirementDuringPinnedChurn:
         bounced = 0
         for block in range(ftl.nand.num_blocks):
             if any(ftl.queue.is_pinned(ppa)
-                   for ppa in ftl.nand.block_ppa_range(block)):
+                   for ppa in block_ppas(ftl.nand, block)):
                 ftl._retire_block(block)
                 bounced += 1
                 if bounced == 3:

@@ -70,7 +70,7 @@ class TestSimulateThroughput:
     def test_empty_trace(self):
         report = simulate_throughput(Trace())
         assert report.service_time_s == 0.0
-        assert report.total_mib_per_s == 0.0
+        assert report.read_mib_per_s == report.write_mib_per_s == 0.0
 
     def test_demand_limited_mode(self):
         """With saturate=False a sparse trace is bounded by its own

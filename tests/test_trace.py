@@ -83,10 +83,7 @@ class TestStats:
     def test_empty_trace(self):
         stats = Trace().stats()
         assert stats.num_requests == 0
-        assert stats.write_fraction == 0.0
-
-    def test_write_fraction(self):
-        assert make_trace().stats().write_fraction == pytest.approx(0.5)
+        assert stats.num_writes == 0
 
 
 class TestFiltering:

@@ -22,8 +22,7 @@ class TestSlidingWindow:
         window = SlidingWindow(3)
         for index in range(5):
             window.push(make_slice(index))
-        assert len(window) == 3
-        assert window.oldest_index() == 2
+        assert [stats.index for stats in window] == [2, 3, 4]
 
     def test_latest(self):
         window = SlidingWindow(3)
@@ -42,12 +41,6 @@ class TestSlidingWindow:
         window = SlidingWindow(3)
         window.push(make_slice(0, owio=5))
         assert window.pwio() == 0
-
-    def test_owio_window_includes_latest(self):
-        window = SlidingWindow(3)
-        window.push(make_slice(0, owio=5))
-        window.push(make_slice(1, owio=7))
-        assert window.owio_window() == 12
 
     def test_wio_window(self):
         window = SlidingWindow(2)
